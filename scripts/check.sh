@@ -90,6 +90,13 @@ echo "== serve: crash-tolerant characterization service in the plain tree =="
 # so a filtered ctest invocation cannot drop the gate.
 ctest --test-dir "$BUILD_DIR" -L serve --output-on-failure
 
+echo "== lease: mutual-exclusion stress, repeated =="
+# Eight processes x 1000 acquire/release rounds of the cross-process lease,
+# asserting at most one holder at a time. A race in the primitive shows up
+# only in some runs, so repeat it until one fails.
+ctest --test-dir "$BUILD_DIR" -R '^lease_mutual_exclusion$' --output-on-failure \
+  --repeat until-fail:20
+
 echo "== prove: certified interval-STA suite in the plain tree =="
 # The soundness contract (simulated aged delay inside the proven interval,
 # scalar collapse, PV verdicts, fixture exit codes). As with the chaos label,

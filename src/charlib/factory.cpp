@@ -1,6 +1,7 @@
 #include "charlib/factory.hpp"
 
 #include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/stat.h>
 
 #include <algorithm>
@@ -42,11 +43,6 @@ LibraryFactory::Options LibraryFactory::default_options() {
   }
   if (const char* env = std::getenv("RW_CHAR_RESUME"); env != nullptr && *env != '\0') {
     o.resume = std::string(env) != "0";
-  }
-  if (const char* env = std::getenv("RW_CHAR_LEASE_MS"); env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const double ms = std::strtod(env, &end);
-    if (end != env && ms > 0.0) o.dedup_lease_ms = ms;
   }
   return o;
 }
@@ -149,6 +145,16 @@ void touch_usage_stamp(const std::string& lib_path) {
     return;
   }
   (void)util::write_file_atomic_nothrow(stamp, "{\"usage\":\"stamp\"}\n");
+}
+
+/// Most cache-entry leases one batch holds at once. A lease is an open
+/// descriptor until its pair is published, so a batch larger than this runs
+/// in rounds: an eighth of the soft RLIMIT_NOFILE (at most 256) leaves room
+/// for the cache reads and writes in between, and for other batches.
+std::size_t lease_budget() {
+  struct rlimit lim {};
+  if (::getrlimit(RLIMIT_NOFILE, &lim) != 0 || lim.rlim_cur == RLIM_INFINITY) return 256;
+  return std::clamp<std::size_t>(static_cast<std::size_t>(lim.rlim_cur / 8), 1, 256);
 }
 
 }  // namespace
@@ -327,11 +333,11 @@ liberty::Cell LibraryFactory::build_cell(const std::string& cell_name,
   // Cross-process leader election on the cache entry's lease file: exactly
   // one process (across every CLI / rwserved worker sharing this cache dir)
   // runs the SPICE campaign; everyone else rendezvouses on the published
-  // cache file. A dead or over-TTL leader is broken and taken over, so a
-  // `kill -9` mid-characterization delays the pair, never wedges it.
+  // cache file. The kernel drops a dead leader's lock, so a `kill -9`
+  // mid-characterization hands the pair to the next poller, never wedges it.
   const std::string lease_path = lib_path + ".lease";
   for (;;) {
-    if (auto lease = util::FileLease::try_acquire(lease_path, options_.dedup_lease_ms)) {
+    if (auto lease = util::FileLease::try_acquire(lease_path)) {
       // Re-probe under the lease: a prior leader may have published between
       // our miss above and this acquire (the classic release/acquire race —
       // without this, two forked clients can both run the campaign).
@@ -348,12 +354,10 @@ liberty::Cell LibraryFactory::build_cell(const std::string& cell_name,
       return result;
     }
     // Follower: poll for the leader's publish (cheap — one exists() probe
-    // until the file lands), breaking the lease if its holder died.
+    // until the file lands), taking over if the leader died.
     flow::throw_if_cancelled();
     if (auto cached = load_cached_cell(lib_path, cell_name)) return std::move(*cached);
-    if (!util::break_lease_if_stale(lease_path)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
 }
 
@@ -374,10 +378,6 @@ void LibraryFactory::characterize_batch(
     std::exception_ptr task_error;
   };
 
-  // Claim phase (serial): register an in-flight job per pair not already
-  // cached/quarantined/claimed, serve disk-cache hits immediately, and build
-  // the per-cell task queues. Construction failures (unknown cell, topology
-  // bug) finalize here so waiters are never left hanging.
   std::exception_ptr first_error;  // first non-CharError, in pair order
   auto note_failure = [&first_error](std::exception_ptr failure) {
     if (first_error) return;
@@ -389,129 +389,136 @@ void LibraryFactory::characterize_batch(
       first_error = std::current_exception();
     }
   };
-  std::vector<std::unique_ptr<BatchItem>> items;
-  for (const auto& [scenario, name] : pairs) {
+
+  // Rounds of claim, fan-out and finish, each holding at most
+  // `max_leases` leases (see lease_budget). Every pair's result is
+  // independent of the round it lands in, so the output is too.
+  const std::size_t max_leases = lease_budget();
+  std::size_t next = 0;
+  while (next < pairs.size() && !flow::poll_cancellation()) {
+    // Claim phase (serial): register an in-flight job per pair not already
+    // cached/quarantined/claimed, serve disk-cache hits immediately, and
+    // build the per-cell task queues. Construction failures (unknown cell,
+    // topology bug) finalize here so waiters are never left hanging.
+    std::vector<std::unique_ptr<BatchItem>> items;
+    std::size_t leases = 0;
     // Cancellation: stop CLAIMING (never throw mid-claim — already claimed
     // pairs must still be finalized below so their waiters are released).
     // The fan-out tasks and the finish phase poll the token themselves.
-    if (flow::poll_cancellation()) break;
-    const CellKey key{scenario.id(), name};
-    std::shared_ptr<CellJob> job;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (cell_cache_.count(key) != 0 || quarantine_.count(key) != 0 ||
-          in_flight_.count(key) != 0) {
-        continue;  // done, failed-fast, or another thread/batch owns it
-      }
-      job = std::make_shared<CellJob>();
-      in_flight_.emplace(key, job);
-    }
-    auto item = std::make_unique<BatchItem>();
-    item->key = key;
-    item->scenario = scenario;
-    item->job = std::move(job);
-    if (!options_.cache_dir.empty()) {
-      const std::string lib_path = cell_lib_path(name, scenario);
-      if (auto cached = load_cached_cell(lib_path, name)) {
-        finalize_success(item->key, item->job, std::move(*cached));
-        continue;
-      }
-      if (options_.disk_only) {
-        auto miss = std::make_exception_ptr(CacheMissError(key.first, name));
-        finalize_failure(item->key, item->job, miss);
-        note_failure(miss);
-        continue;
-      }
-      // Cross-process leader election (see build_cell): no lease means some
-      // other process owns the pair — register a rendezvous item instead of
-      // duplicating its SPICE campaign.
-      const std::string lease_path = lib_path + ".lease";
-      item->lease = util::FileLease::try_acquire(lease_path, options_.dedup_lease_ms);
-      if (!item->lease && util::break_lease_if_stale(lease_path)) {
-        item->lease = util::FileLease::try_acquire(lease_path, options_.dedup_lease_ms);
-      }
-      if (!item->lease) {
-        items.push_back(std::move(item));  // rendezvous in the finish phase
-        continue;
-      }
-      // Re-probe under the lease: the prior leader may have published
-      // between our miss above and this acquire.
-      if (auto cached = load_cached_cell(lib_path, name)) {
-        item->lease.reset();
-        finalize_success(item->key, item->job, std::move(*cached));
-        continue;
-      }
-    }
-    try {
-      item->work = std::make_unique<CellCharJob>(cells::find_cell(name), scenario,
-                                                 options_.characterize);
-    } catch (...) {
-      finalize_failure(item->key, item->job, std::current_exception());
-      note_failure(std::current_exception());
-      continue;
-    }
-    items.push_back(std::move(item));
-  }
-
-  // Fan-out phase: ONE top-level parallel_for over the concatenation of
-  // every item's task queue — the scheduler sees (scenario × cell × arc ×
-  // OPC) granularity, so a 61-cell library keeps every worker busy instead
-  // of serializing nested per-cell loops. Task exceptions are captured per
-  // item (lowest task index wins, for determinism) so one failing cell
-  // cannot abandon the others mid-queue.
-  std::size_t total_tasks = 0;
-  std::vector<std::size_t> task_end;  // cumulative, for task -> item lookup
-  task_end.reserve(items.size());
-  for (auto& item : items) {
-    item->first_task = total_tasks;
-    // Rendezvous items (another process characterizes) contribute no local
-    // tasks; their zero-width interval is skipped by the lookup below.
-    total_tasks += item->work ? item->work->task_count() : 0;
-    task_end.push_back(total_tasks);
-  }
-  std::mutex error_mutex;
-  util::ThreadPool::shared().parallel_for(total_tasks, [&](std::size_t task) {
-    const std::size_t idx = static_cast<std::size_t>(
-        std::upper_bound(task_end.begin(), task_end.end(), task) - task_end.begin());
-    BatchItem& item = *items[idx];
-    try {
-      item.work->run_task(task - item.first_task);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mutex);
-      if (!item.task_error || task < item.error_task) {
-        item.task_error = std::current_exception();
-        item.error_task = task;
-      }
-    }
-  });
-
-  // Finish phase (serial, deterministic item order): assemble each cell —
-  // fallback interpolation and the flop setup search happen here — publish
-  // it, and release waiters. Every item is finalized even when another
-  // failed; only then is the first non-CharError failure rethrown.
-  for (auto& item : items) {
-    std::exception_ptr failure = item->task_error;
-    if (!failure) {
-      try {
-        if (!item->work) {
-          // Rendezvous item: another process held the lease at claim time.
-          // build_cell waits for its publish — or takes over (this process
-          // becomes leader) if that process died and left a stale lease.
-          finalize_success(item->key, item->job, build_cell(item->key.second, item->scenario));
-          continue;
+    for (; next < pairs.size() && leases < max_leases && !flow::poll_cancellation(); ++next) {
+      const auto& [scenario, name] = pairs[next];
+      const CellKey key{scenario.id(), name};
+      std::shared_ptr<CellJob> job;
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (cell_cache_.count(key) != 0 || quarantine_.count(key) != 0 ||
+            in_flight_.count(key) != 0) {
+          continue;  // done, failed-fast, or another thread/batch owns it
         }
-        liberty::Cell cell = item->work->finish();
-        if (!options_.cache_dir.empty()) store_cached_cell(item->scenario, item->key.second, cell);
-        item->lease.reset();  // publish happened; let followers take the file
-        finalize_success(item->key, item->job, std::move(cell));
-        continue;
-      } catch (...) {
-        failure = std::current_exception();
+        job = std::make_shared<CellJob>();
+        in_flight_.emplace(key, job);
       }
+      auto item = std::make_unique<BatchItem>();
+      item->key = key;
+      item->scenario = scenario;
+      item->job = std::move(job);
+      try {
+        if (!options_.cache_dir.empty()) {
+          const std::string lib_path = cell_lib_path(name, scenario);
+          if (auto cached = load_cached_cell(lib_path, name)) {
+            finalize_success(item->key, item->job, std::move(*cached));
+            continue;
+          }
+          if (options_.disk_only) throw CacheMissError(key.first, name);
+          // Cross-process leader election (see build_cell): no lease means
+          // some other process owns the pair — register a rendezvous item
+          // instead of duplicating its SPICE campaign.
+          item->lease = util::FileLease::try_acquire(lib_path + ".lease");
+          if (!item->lease) {
+            items.push_back(std::move(item));  // rendezvous in the finish phase
+            continue;
+          }
+          // Re-probe under the lease: the prior leader may have published
+          // between our miss above and this acquire.
+          if (auto cached = load_cached_cell(lib_path, name)) {
+            item->lease.reset();
+            finalize_success(item->key, item->job, std::move(*cached));
+            continue;
+          }
+        }
+        item->work = std::make_unique<CellCharJob>(cells::find_cell(name), scenario,
+                                                   options_.characterize);
+      } catch (...) {
+        finalize_failure(item->key, item->job, std::current_exception());
+        note_failure(std::current_exception());
+        continue;
+      }
+      if (item->lease) ++leases;
+      items.push_back(std::move(item));
     }
-    item->lease.reset();
-    finalize_failure(item->key, item->job, failure);
-    note_failure(failure);
+
+    // Fan-out phase: ONE top-level parallel_for over the concatenation of
+    // every item's task queue — the scheduler sees (scenario × cell × arc ×
+    // OPC) granularity, so a 61-cell library keeps every worker busy instead
+    // of serializing nested per-cell loops. Task exceptions are captured per
+    // item (lowest task index wins, for determinism) so one failing cell
+    // cannot abandon the others mid-queue.
+    std::size_t total_tasks = 0;
+    std::vector<std::size_t> task_end;  // cumulative, for task -> item lookup
+    task_end.reserve(items.size());
+    for (auto& item : items) {
+      item->first_task = total_tasks;
+      // Rendezvous items (another process characterizes) contribute no local
+      // tasks; their zero-width interval is skipped by the lookup below.
+      total_tasks += item->work ? item->work->task_count() : 0;
+      task_end.push_back(total_tasks);
+    }
+    std::mutex error_mutex;
+    util::ThreadPool::shared().parallel_for(total_tasks, [&](std::size_t task) {
+      const std::size_t idx = static_cast<std::size_t>(
+          std::upper_bound(task_end.begin(), task_end.end(), task) - task_end.begin());
+      BatchItem& item = *items[idx];
+      try {
+        item.work->run_task(task - item.first_task);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(error_mutex);
+        if (!item.task_error || task < item.error_task) {
+          item.task_error = std::current_exception();
+          item.error_task = task;
+        }
+      }
+    });
+
+    // Finish phase (serial, deterministic item order): assemble each cell —
+    // fallback interpolation and the flop setup search happen here — publish
+    // it, and release waiters. Every item is finalized even when another
+    // failed; only then is the first non-CharError failure rethrown.
+    for (auto& item : items) {
+      std::exception_ptr failure = item->task_error;
+      if (!failure) {
+        try {
+          if (!item->work) {
+            // Rendezvous item: another process held the lease at claim time.
+            // build_cell waits for its publish — or takes over (this process
+            // becomes leader) if that process died and the kernel freed it.
+            finalize_success(item->key, item->job, build_cell(item->key.second, item->scenario));
+            continue;
+          }
+          liberty::Cell cell = item->work->finish();
+          if (!options_.cache_dir.empty()) {
+            store_cached_cell(item->scenario, item->key.second, cell);
+          }
+          item->lease.reset();  // publish happened; let followers take the file
+          finalize_success(item->key, item->job, std::move(cell));
+          continue;
+        } catch (...) {
+          failure = std::current_exception();
+        }
+      }
+      item->lease.reset();
+      finalize_failure(item->key, item->job, failure);
+      note_failure(failure);
+    }
   }
   if (first_error) std::rethrow_exception(first_error);
 }

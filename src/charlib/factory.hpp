@@ -40,16 +40,20 @@
 /// chain, and `merged()` skips quarantined pairs instead of aborting.
 ///
 /// Cross-process dedup: when the disk cache is enabled, the in-flight-leader
-/// machinery extends across process boundaries via an `O_EXCL` lease file
-/// next to each cache entry (`<cell>.lib.lease`, see util/proc_lease.hpp).
-/// Exactly one process — a second CLI, an `rwserved` worker, anyone sharing
-/// the cache directory — characterizes a (scenario, cell); everyone else
-/// rendezvouses on the published cache file. A leader that crashes leaves a
-/// stale lease (dead pid, or TTL `Options::dedup_lease_ms` exceeded) that
-/// the next requester breaks and takes over, so dedup can delay but never
-/// wedge a characterization. The factory also polls the process-wide
-/// `CancelToken` on every cache probe, so a SIGTERM mid-library-load is
-/// honored even when every cell is a disk hit and no solver ever runs.
+/// machinery extends across process boundaries via a kernel-held lock on a
+/// lease file next to each cache entry (`<cell>.lib.lease`, see
+/// util/proc_lease.hpp). Exactly one process — a second CLI, an `rwserved`
+/// worker, anyone sharing the cache directory — characterizes a (scenario,
+/// cell); everyone else rendezvouses on the published cache file. The kernel
+/// releases a crashed leader's lock, and the next requester takes over, so
+/// dedup can delay but never wedge a characterization. A leader that is
+/// alive but wedged keeps its lease; in rwserved the supervisor's per-task
+/// deadline SIGKILLs such a worker. A held lease is an open descriptor, so
+/// `library()` / `merged()` claim, run and publish their pairs in rounds
+/// that stay well inside RLIMIT_NOFILE. The factory also polls the
+/// process-wide `CancelToken` on every cache probe, so a SIGTERM
+/// mid-library-load is honored even when every cell is a disk hit and no
+/// solver ever runs.
 
 #include <condition_variable>
 #include <map>
@@ -104,12 +108,6 @@ class LibraryFactory {
     /// that owns the manifest (rwserved workers), so concurrent factories
     /// never clobber each other's checkpoint file.
     bool use_manifest = true;
-    /// TTL for the cross-process dedup lease next to each cache entry. A
-    /// leader crashed mid-characterization is taken over after its lease
-    /// goes stale (dead pid, or this TTL exceeded — the TTL covers pid
-    /// recycling and wedged-but-alive leaders). `default_options()` reads
-    /// $RW_CHAR_LEASE_MS.
-    double dedup_lease_ms = 600000.0;
   };
 
   static Options default_options();

@@ -95,8 +95,8 @@ const std::vector<RuleInfo>& rule_catalog() {
        "proof is vacuous: an instance is missing in-bounds bracketing lattice corners",
        "characterize (or merge) the missing bracketing corners before trusting the bound"},
       {rules::kStaleServeArtifact, Severity::kWarning,
-       "serve cache holds a stale worker lease or a dead daemon's socket file",
-       "safe to delete; a stale lease is also broken automatically by the next leader"},
+       "serve cache holds a lease file no process holds or a dead daemon's socket file",
+       "safe to delete; an unheld lease file is also taken over by the next leader"},
       {rules::kOrphanGcArtifact, Severity::kWarning,
        "serve cache holds an interrupted-GC tombstone or a mismatched usage-stamp sidecar",
        "run `rwserved --gc` to complete interrupted sweeps; orphan stamps are safe to delete"},

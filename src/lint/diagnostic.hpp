@@ -64,7 +64,7 @@ inline constexpr const char* kFlowStaleArtifact = "FL001"; ///< flow manifest re
 inline constexpr const char* kGuardbandUnsound = "PV001"; ///< guardband below the proven upper bound
 inline constexpr const char* kWideProofInterval = "PV002"; ///< proven interval wider than the slack budget
 inline constexpr const char* kVacuousProof = "PV003";   ///< missing in-bounds bracketing corners
-inline constexpr const char* kStaleServeArtifact = "SV001"; ///< stale lease/socket in the serve cache
+inline constexpr const char* kStaleServeArtifact = "SV001"; ///< unheld lease/dead socket in the serve cache
 inline constexpr const char* kOrphanGcArtifact = "SV002"; ///< orphaned GC tombstone or usage-stamp sidecar
 }  // namespace rules
 

@@ -9,7 +9,6 @@
 #include "lint/linter.hpp"
 #include "util/io.hpp"
 #include "util/proc_lease.hpp"
-#include "util/strings.hpp"
 
 namespace rw::lint {
 
@@ -20,19 +19,19 @@ namespace fs = std::filesystem;
 /// SV001 over the characterization service's disk-cache root.
 ///
 /// The serve data plane leaves two kinds of droppings behind when processes
-/// die uncleanly: `*.lease` files (cross-process dedup leader election; a
-/// SIGKILLed leader's lease survives until the next contender breaks it) and
-/// `*.sock` files (a daemon's listening socket; a SIGKILLed daemon cannot
-/// unlink it). Both are harmless to correctness — leases are broken as stale
-/// by design and `listen_unix` rebinds over dead sockets — but they are the
-/// forensic signature of a crash, so the linter surfaces them as warnings
-/// with the evidence (dead pid, expired TTL, refused connection) spelled
-/// out. Live leases and live sockets are NOT flagged.
+/// die uncleanly: `*.lease` files (cross-process dedup leader election; the
+/// kernel drops a SIGKILLed leader's lock but its file stays until the next
+/// leader releases it) and `*.sock` files (a daemon's listening socket; a
+/// SIGKILLed daemon cannot unlink it). Both are harmless to correctness —
+/// an unlocked lease file is simply taken over and `listen_unix` rebinds
+/// over dead sockets — but they are the forensic signature of a crash, so
+/// the linter surfaces them as warnings. Held leases and live sockets are
+/// NOT flagged.
 class ServeArtifactsRule final : public Rule {
  public:
   [[nodiscard]] std::string_view id() const override { return "serve.artifacts"; }
   [[nodiscard]] std::string_view description() const override {
-    return "serve cache holds no stale worker leases or dead daemon sockets";
+    return "serve cache holds no unheld worker leases or dead daemon sockets";
   }
   void run(const LintSubject& subject, std::vector<Diagnostic>& out) const override {
     if (subject.cache_dir.empty()) return;
@@ -57,20 +56,10 @@ class ServeArtifactsRule final : public Rule {
     std::sort(sockets.begin(), sockets.end());
 
     for (const std::string& path : leases) {
-      const util::LeaseObservation obs = util::observe_lease(path);
-      if (!util::lease_is_stale(obs)) continue;  // absent or live holder
-      std::string why;
-      if (!obs.parsed) {
-        why = "unparsable (torn) lease file";
-      } else if (!obs.pid_alive) {
-        why = "holder pid " + std::to_string(obs.pid) + " is dead";
-      } else {
-        why = "TTL expired (age " + util::format_fixed(obs.age_ms, 0) + " ms > " +
-              util::format_fixed(obs.ttl_ms, 0) + " ms)";
-      }
+      if (util::held(path)) continue;  // a live leader
       out.push_back(Diagnostic{rules::kStaleServeArtifact, Severity::kWarning, path,
-                               "stale characterization lease: " + why,
-                               "safe to delete; the next leader breaks it automatically"});
+                               "characterization lease file that no process holds (crash debris)",
+                               "safe to delete; the next leader takes it over automatically"});
     }
     for (const std::string& path : sockets) {
       const int fd = util::io::connect_unix(path);

@@ -1,9 +1,6 @@
 #include "serve/gc.hpp"
 
-#include <sys/stat.h>
-
 #include <algorithm>
-#include <chrono>
 #include <filesystem>
 #include <set>
 #include <system_error>
@@ -24,19 +21,6 @@ constexpr const char* kTombSuffix = ".tomb";
 
 bool ends_with(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() && s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-/// Millisecond idle age of `path` (0 when missing — treat as "just used"
-/// is wrong, so callers only ask for files they just saw; a vanished file
-/// means a concurrent writer and the entry is certainly recent).
-double file_idle_ms(const std::string& path, double fallback) {
-  struct stat st {};
-  if (::stat(path.c_str(), &st) != 0) return fallback;
-  const auto now = std::chrono::system_clock::now().time_since_epoch();
-  const double now_ms = std::chrono::duration<double, std::milli>(now).count();
-  const double mtime_ms = static_cast<double>(st.st_mtim.tv_sec) * 1000.0 +
-                          static_cast<double>(st.st_mtim.tv_nsec) / 1e6;
-  return std::max(0.0, now_ms - mtime_ms);
 }
 
 /// Steps 2..4 of the eviction protocol; also how interrupted sweeps are
@@ -101,8 +85,7 @@ void sweep_grid(const std::string& grid_dir, const GcOptions& opt, GcResult& res
     // Phase 2: age out idle entries.
     for (const std::string& lib : files_with_suffix(scenario_dir, ".lib")) {
       const std::string cell = fs::path(lib).stem().string();
-      const util::LeaseObservation lease = util::observe_lease(lib + ".lease");
-      if (lease.exists && !util::lease_is_stale(lease)) {
+      if (util::held(lib + ".lease")) {
         ++res.skipped_leased;
         continue;
       }

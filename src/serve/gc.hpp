@@ -18,7 +18,7 @@
 /// bitwise identical, which is the whole GC safety argument.
 ///
 /// A sweep never touches:
-///   * entries whose `.lib.lease` is live (a leader is characterizing or a
+///   * entries whose `.lib.lease` is held (a leader is characterizing or a
 ///     follower is about to read);
 ///   * pairs spooled as queued fleet work (`<grid>/spool/*.task`);
 ///   * pairs the grid manifest quarantines as "failed" (their error chain

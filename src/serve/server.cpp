@@ -20,8 +20,10 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "cells/catalog.hpp"
@@ -195,6 +197,7 @@ struct Server::Impl {
     double not_before = 0.0; ///< backoff gate
     enum class State { kQueued, kLeased, kDone, kFailed } state = State::kQueued;
     std::string error;
+    std::optional<util::FileLease> spool;  ///< our lock on the task's spool entry
   };
   std::map<std::string, Task> tasks;  ///< by "<scenario-id>/<cell>"
   std::deque<std::string> queue;      ///< kQueued keys, FIFO (each exactly once)
@@ -279,56 +282,55 @@ struct Server::Impl {
     return wt;
   }
 
-  /// Mirrors an admitted task into the shared spool so fleet peers can see
-  /// it. Best-effort: a daemon that cannot spool still serves — it just
-  /// cannot be stolen from.
-  void spool_task(const std::string& key, const Task& t) {
-    if (spool_root.empty()) return;
-    if (write_spool_record(spool_path(spool_root, key), worker_task_of(key, t),
-                           opt.spool_ttl_ms)) {
-      stats.tasks_spooled += 1;
-    }
+  /// Mirrors an admitted task into the shared spool, locked by us, so
+  /// fleet peers can see it. Best-effort: a daemon that cannot spool still
+  /// serves — it just cannot be adopted from.
+  void spool_task(const std::string& key, Task& t) {
+    if (spool_root.empty() || t.spool) return;
+    t.spool = publish_spool_record(spool_path(spool_root, key), worker_task_of(key, t),
+                                   opt.spool_ttl_ms);
+    if (t.spool) stats.tasks_spooled += 1;
   }
 
-  void unspool_task(const std::string& key) {
-    if (spool_root.empty()) return;
-    ::unlink(spool_path(spool_root, key).c_str());
-  }
-
-  /// The fleet steal pass: claim spool entries whose owner is dead (adopt)
-  /// or whose entry outlived its TTL while the owner wedged (steal), then
-  /// run them as our own. Arbitrated with an O_EXCL `.claim` lease so two
-  /// survivors never double-adopt; takeover rewrites the entry under our
-  /// pid (atomic rename) so later scans see a fresh, live owner.
+  /// The fleet steal pass: take over spool entries whose lock is free (the
+  /// kernel dropped a dead owner's: adopt) or that outlived their TTL while
+  /// the owner wedged (steal), then run them as our own. Takeovers are
+  /// arbitrated by a `.claim` lock so two survivors never double-adopt, and
+  /// republish the entry under our lock so later scans see a live owner.
   void adopt_spooled_work() {
     if (spool_root.empty() || draining) return;
     const double now = now_ms();
     if (now < next_steal_at) return;
     next_steal_at = now + opt.steal_interval_ms;
-    const pid_t self = ::getpid();
     for (const std::string& path : list_spool_tasks(spool_root)) {
-      util::LeaseObservation obs = util::observe_lease(path);
-      if (!obs.exists) continue;
-      if (obs.parsed && obs.pid == self) continue;  // our own entry
-      if (!util::lease_is_stale(obs)) continue;  // live owner inside its TTL
-      auto claim = util::FileLease::try_acquire(path + ".claim", 10000.0);
-      if (!claim) {
-        // A peer is mid-takeover — or died mid-takeover; break the debris
-        // so SOME later pass can claim it.
-        (void)util::break_lease_if_stale(path + ".claim");
-        continue;
-      }
-      // Re-observe under the claim: the owner may have completed (file
-      // gone) or a peer may have finished a takeover between our scan and
-      // the claim.
-      obs = util::observe_lease(path);
-      if (!obs.exists || !util::lease_is_stale(obs)) continue;  // ~FileLease releases
-      const bool owner_alive = obs.parsed && obs.pid_alive;
+      // Our own entries read as held too (OFD locks conflict within one
+      // process) and a lock names no pid, so recognize ours by task key.
       SpoolRecord rec;
-      if (!read_spool_record(path, rec)) {
-        ::unlink(path.c_str());  // torn + stale: crash debris
+      if (read_spool_record(path, rec)) {
+        const auto it = tasks.find(rec.task.task);
+        if (it != tasks.end() && it->second.spool) continue;
+        if (util::held(path) && rec.age_ms <= rec.ttl_ms) continue;  // live owner in its TTL
+      } else if (util::held(path)) {
         continue;
       }
+      // One takeover at a time; a stealer that died mid-takeover left its
+      // claim file unlocked, so it blocks nobody. A claim we cannot even
+      // open is skipped, like a spool entry we cannot write.
+      std::optional<util::FileLease> claim;
+      try {
+        claim = util::FileLease::try_acquire(path + ".claim");
+      } catch (const std::system_error&) {
+      }
+      if (!claim) continue;
+      // Re-check under the claim: the owner may have completed (file gone)
+      // or a peer may have finished a takeover between our scan and the
+      // claim.
+      const bool owner_alive = util::held(path);
+      if (!read_spool_record(path, rec)) {
+        if (!owner_alive) ::unlink(path.c_str());  // unparsable and unheld: crash debris
+        continue;
+      }
+      if (owner_alive && rec.age_ms <= rec.ttl_ms) continue;  // ~FileLease releases
       const aging::AgingScenario scenario = rec.task.scenario();
       const std::string key = task_key_of(scenario, rec.task.cell);
       if (key != rec.task.task) {  // corrupt record; keys are derived, never trusted
@@ -357,7 +359,7 @@ struct Server::Impl {
         Task t;
         t.scenario = scenario;
         t.cell = rec.task.cell;
-        spool_task(key, t);  // re-own FIRST: live lease before the claim drops
+        spool_task(key, t);  // re-own FIRST: our lock before the claim drops
         tasks.emplace(key, std::move(t));
         queue.push_back(key);
       } else {
@@ -373,6 +375,35 @@ struct Server::Impl {
 
   // -- worker lifecycle ------------------------------------------------------
 
+  /// Child side of every fork (worker, op runner), leaving only the child's
+  /// own socketpair end open. "Supervisor died" must read as EOF there,
+  /// client/child fds must not leak across children, and the spool locks
+  /// must die with the daemon: an orphan holding their open file
+  /// descriptions would keep a SIGKILLed daemon's entries locked and block
+  /// adoption. Closing (never releasing) leaves the parent's locks intact.
+  void enter_child() const {
+    for (const int fd : {listen_fd, chld_r, chld_w}) {
+      if (fd >= 0) ::close(fd);
+    }
+    for (const auto& w : workers) {
+      if (w.fd >= 0) ::close(w.fd);
+    }
+    for (const auto& c : conns) {
+      if (c.fd >= 0) ::close(c.fd);
+    }
+    for (const auto& o : ops) {
+      if (o.fd >= 0) ::close(o.fd);
+    }
+    for (const auto& [key, t] : tasks) {
+      if (t.spool) ::close(t.spool->fd());
+    }
+    std::signal(SIGCHLD, SIG_DFL);
+    std::signal(SIGTERM, SIG_DFL);
+    // ^C hits the whole foreground group; the supervisor drains and tells
+    // children when to exit, so they must not die out from under it.
+    std::signal(SIGINT, SIG_IGN);
+  }
+
   void spawn_worker(std::size_t slot) {
     int sv[2];
     if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
@@ -387,26 +418,8 @@ struct Server::Impl {
       return;
     }
     if (pid == 0) {
-      // Child: drop every supervisor fd so "supervisor died" reads as EOF on
-      // our socketpair and client/worker fds never leak across workers.
       ::close(sv[0]);
-      if (listen_fd >= 0) ::close(listen_fd);
-      if (chld_r >= 0) ::close(chld_r);
-      if (chld_w >= 0) ::close(chld_w);
-      for (const auto& w : workers) {
-        if (w.fd >= 0) ::close(w.fd);
-      }
-      for (const auto& c : conns) {
-        if (c.fd >= 0) ::close(c.fd);
-      }
-      for (const auto& o : ops) {
-        if (o.fd >= 0) ::close(o.fd);
-      }
-      std::signal(SIGCHLD, SIG_DFL);
-      std::signal(SIGTERM, SIG_DFL);
-      // ^C hits the whole foreground group; the supervisor drains and tells
-      // workers when to exit, so they must not die out from under it.
-      std::signal(SIGINT, SIG_IGN);
+      enter_child();
       worker_main(sv[1], worker_config);  // noreturn
     }
     ::close(sv[1]);
@@ -527,7 +540,7 @@ struct Server::Impl {
       stats.tasks_failed += 1;
       stats.quarantined += 1;
       factory->quarantine_pair(t.scenario.id(), t.cell, t.error);
-      unspool_task(key);
+      t.spool.reset();  // unspool
       return;
     }
     stats.redeliveries += 1;
@@ -629,14 +642,14 @@ struct Server::Impl {
     if (reply.status == "done") {
       t.state = Task::State::kDone;
       stats.tasks_done += 1;
-      unspool_task(reply.task);
+      t.spool.reset();  // unspool
     } else if (reply.permanent) {
       t.state = Task::State::kFailed;
       t.error = reply.error.empty() ? "worker failure" : reply.error;
       stats.tasks_failed += 1;
       stats.quarantined += 1;
       factory->quarantine_pair(t.scenario.id(), t.cell, t.error);
-      unspool_task(reply.task);
+      t.spool.reset();  // unspool
     } else {
       // Transient (I/O, bad_alloc): the pair itself may be fine — retry.
       t.state = Task::State::kLeased;  // requeue() expects a leased task
@@ -690,23 +703,8 @@ struct Server::Impl {
       return;
     }
     if (pid == 0) {
-      // Same fd hygiene as a worker: only our socketpair end survives.
       ::close(sv[0]);
-      if (listen_fd >= 0) ::close(listen_fd);
-      if (chld_r >= 0) ::close(chld_r);
-      if (chld_w >= 0) ::close(chld_w);
-      for (const auto& w : workers) {
-        if (w.fd >= 0) ::close(w.fd);
-      }
-      for (const auto& c : conns) {
-        if (c.fd >= 0) ::close(c.fd);
-      }
-      for (const auto& o : ops) {
-        if (o.fd >= 0) ::close(o.fd);
-      }
-      std::signal(SIGCHLD, SIG_DFL);
-      std::signal(SIGTERM, SIG_DFL);
-      std::signal(SIGINT, SIG_IGN);
+      enter_child();
       op_runner_main(sv[1], opt.factory, req);  // noreturn
     }
     ::close(sv[1]);

@@ -17,8 +17,8 @@
 ///    structured error instead of hanging.
 ///  * The daemon itself is expendable: all durable state is the disk cache
 ///    plus manifest, both published via atomic temp+rename(+fsync), so
-///    kill -9 and restart loses only in-flight leases (broken as stale by
-///    the next leader). Clients resend the same request id and the work
+///    kill -9 and restart loses only in-flight leases (the kernel frees
+///    their locks for the next leader). Clients resend the same request id and the work
 ///    resumes where the cache left off.
 ///  * Overload degrades, never collapses: a bounded task queue; requests
 ///    that would exceed it get an "overloaded" response with a Retry-After
@@ -28,7 +28,7 @@
 ///  * Fleets need no coordinator: daemons sharing `--cache` mirror queued
 ///    work as spool files (see spool.hpp) and periodically adopt a dead
 ///    peer's entries or steal a wedged peer's, arbitrated with the same
-///    O_EXCL lease protocol the cache itself uses. A client holding a
+///    kernel-held lease locks the cache itself uses. A client holding a
 ///    request id can resend it to ANY peer; the disk cache is the shared
 ///    truth, so the answer is bitwise identical.
 ///  * Higher-level ops (op=prove / op=guardband) run in forked op-runner

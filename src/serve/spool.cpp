@@ -1,19 +1,29 @@
 #include "serve/spool.hpp"
 
-#include <unistd.h>
+#include <sys/stat.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <system_error>
-
-#include "util/atomic_file.hpp"
 
 namespace rw::serve {
 
 namespace fs = std::filesystem;
+
+double file_idle_ms(const std::string& path, double fallback) {
+  struct stat st {};
+  if (::stat(path.c_str(), &st) != 0) return fallback;
+  const auto now = std::chrono::system_clock::now().time_since_epoch();
+  const double now_ms = std::chrono::duration<double, std::milli>(now).count();
+  const double mtime_ms = static_cast<double>(st.st_mtim.tv_sec) * 1000.0 +
+                          static_cast<double>(st.st_mtim.tv_nsec) / 1e6;
+  return std::max(0.0, now_ms - mtime_ms);
+}
 
 std::string spool_dir(const std::string& grid_dir) { return grid_dir + "/spool"; }
 
@@ -23,18 +33,15 @@ std::string spool_path(const std::string& dir, const std::string& task_key) {
   return dir + "/" + flat + ".task";
 }
 
-bool write_spool_record(const std::string& path, const WorkerTask& task, double ttl_ms) {
-  // The body is a WorkerTask document with the two lease keys prepended.
-  // parse_worker_task skips unknown keys, observe_lease only looks for
-  // "pid"/"ttl_ms" — one file, both readers.
-  std::string body = "{\"pid\":" + std::to_string(static_cast<long>(::getpid())) +
-                     ",\"ttl_ms\":" + format_double(ttl_ms) + ",";
+std::optional<util::FileLease> publish_spool_record(const std::string& path,
+                                                    const WorkerTask& task, double ttl_ms) {
+  // The WorkerTask document with the owner's TTL spliced in as its first
+  // key (parse_worker_task skips unknown keys, so the body is both).
+  std::string body = "{\"ttl_ms\":" + format_double(ttl_ms) + ",";
   const std::string task_json = to_json(task);
   body.append(task_json, 1, task_json.size() - 1);  // splice past the '{'
   body += '\n';
-  std::error_code ec;
-  fs::create_directories(fs::path(path).parent_path(), ec);
-  return util::write_file_atomic_nothrow(path, body);
+  return util::FileLease::publish(path, body);
 }
 
 bool read_spool_record(const std::string& path, SpoolRecord& out) {
@@ -47,21 +54,18 @@ bool read_spool_record(const std::string& path, SpoolRecord& out) {
   if (!parse_worker_task(line, task, error) || task.task.empty() || task.cell.empty()) {
     return false;
   }
-  // Re-scan the two lease keys (parse_worker_task skipped them).
-  const auto number_after = [&line](const char* key, double& value) {
-    const std::size_t at = line.find(key);
-    if (at == std::string::npos) return false;
-    char* end = nullptr;
-    const char* start = line.c_str() + at + std::char_traits<char>::length(key);
-    value = std::strtod(start, &end);
-    return end != start;
-  };
-  double pid = 0.0;
-  double ttl = 0.0;
-  if (!number_after("\"pid\":", pid) || !number_after("\"ttl_ms\":", ttl)) return false;
+  // Re-scan the TTL key (parse_worker_task skipped it).
+  constexpr std::string_view kTtl = "\"ttl_ms\":";
+  const std::size_t at = line.find(kTtl);
+  if (at == std::string::npos) return false;
+  const char* start = line.c_str() + at + kTtl.size();
+  char* end = nullptr;
+  const double ttl = std::strtod(start, &end);
+  const double age = file_idle_ms(path, -1.0);
+  if (end == start || age < 0.0) return false;
   out.task = std::move(task);
-  out.owner = static_cast<pid_t>(pid);
   out.ttl_ms = ttl;
+  out.age_ms = age;
   return true;
 }
 

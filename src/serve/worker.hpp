@@ -7,7 +7,7 @@
 /// the socket — the worker PUBLISHES into the shared disk cache (atomic
 /// temp+rename) and the supervisor reads from there — so the worker is
 /// crash-only by construction: SIGKILL at any instant loses at most the
-/// in-progress cell, whose dedup lease goes stale and is taken over.
+/// in-progress cell, whose dedup lease lock dies with it and is taken over.
 
 #include "charlib/factory.hpp"
 

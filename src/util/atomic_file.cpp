@@ -15,15 +15,13 @@ namespace rw::util {
 
 namespace fs = std::filesystem;
 
-namespace {
-
-/// Unique temp sibling of `path`: pid distinguishes processes, the sequence
-/// counter distinguishes threads/writes within one process.
 std::string temp_sibling(const std::string& path) {
   static std::atomic<unsigned> seq{0};
   return path + ".tmp." + std::to_string(::getpid()) + "." +
          std::to_string(seq.fetch_add(1, std::memory_order_relaxed));
 }
+
+namespace {
 
 [[noreturn]] void fail(const std::string& tmp, const std::string& what) {
   std::error_code ignore;

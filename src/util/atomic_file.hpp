@@ -15,6 +15,10 @@
 
 namespace rw::util {
 
+/// Unique temp sibling of `path` (`<path>.tmp.<pid>.<seq>`): pid
+/// distinguishes processes, the sequence counter threads/writes within one.
+std::string temp_sibling(const std::string& path);
+
 /// Atomically replaces `path` with `content` (binary-safe).
 /// \throws std::runtime_error when the temp file cannot be written or the
 /// rename fails (the temp file is cleaned up first).

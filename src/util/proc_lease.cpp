@@ -1,121 +1,124 @@
 #include "util/proc_lease.hpp"
 
 #include <fcntl.h>
-#include <signal.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
-#include <cstdlib>
+#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <string>
+#include <system_error>
 
+#include "util/atomic_file.hpp"
 #include "util/io.hpp"
 
 namespace rw::util {
 
 namespace {
 
-/// File age in ms from mtime against the system clock (clamped at 0: a
-/// writer on a marginally faster clock must not look "negative-aged").
-double file_age_ms(const std::string& path, bool& ok) {
-  struct stat st {};
-  if (::stat(path.c_str(), &st) != 0) {
-    ok = false;
-    return 0.0;
-  }
-  ok = true;
-  const auto now = std::chrono::system_clock::now().time_since_epoch();
-  const double now_ms =
-      std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(now).count();
-  const double mtime_ms = static_cast<double>(st.st_mtime) * 1000.0;
-  return now_ms > mtime_ms ? now_ms - mtime_ms : 0.0;
+/// Whole-file write-lock request (`l_len == 0` reaches EOF and beyond).
+struct flock whole_file_write_lock() {
+  struct flock fl {};
+  fl.l_type = F_WRLCK;
+  fl.l_whence = SEEK_SET;
+  return fl;
 }
 
-}  // namespace
-
-LeaseObservation observe_lease(const std::string& path) {
-  LeaseObservation obs;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return obs;
-  obs.exists = true;
-  std::string body;
-  std::getline(in, body);
-  // `{"pid":N,"ttl_ms":N}` — written in one O_EXCL create, so a parse
-  // failure means a torn write (crash inside acquire) or a foreign file;
-  // both are stale by definition.
-  const std::size_t pid_at = body.find("\"pid\":");
-  const std::size_t ttl_at = body.find("\"ttl_ms\":");
-  if (pid_at == std::string::npos || ttl_at == std::string::npos) return obs;
-  char* end = nullptr;
-  const long pid = std::strtol(body.c_str() + pid_at + 6, &end, 10);
-  const double ttl = std::strtod(body.c_str() + ttl_at + 9, &end);
-  if (pid <= 0 || ttl <= 0.0) return obs;
-  obs.parsed = true;
-  obs.pid = static_cast<pid_t>(pid);
-  obs.ttl_ms = ttl;
-  // kill(pid, 0) probes existence; EPERM still means "exists".
-  obs.pid_alive = ::kill(obs.pid, 0) == 0 || errno == EPERM;
-  bool ok = false;
-  obs.age_ms = file_age_ms(path, ok);
-  if (!ok) obs.exists = false;  // vanished between read and stat: released
-  return obs;
+bool lock(int fd) {
+  struct flock fl = whole_file_write_lock();
+  return ::fcntl(fd, F_OFD_SETLK, &fl) == 0;
 }
 
-bool lease_is_stale(const LeaseObservation& obs) {
-  if (!obs.exists) return false;  // nothing to break
-  if (!obs.parsed) return true;   // torn or foreign: never a live holder
-  return !obs.pid_alive || obs.age_ms > obs.ttl_ms;
+/// Whether `fd` still names the file at `path` (not unlinked or replaced).
+bool names_path(int fd, const std::string& path) {
+  struct stat by_fd {};
+  struct stat by_path {};
+  return ::fstat(fd, &by_fd) == 0 && ::stat(path.c_str(), &by_path) == 0 &&
+         by_fd.st_dev == by_path.st_dev && by_fd.st_ino == by_path.st_ino;
 }
 
-bool break_lease_if_stale(const std::string& path) {
-  const LeaseObservation obs = observe_lease(path);
-  if (!lease_is_stale(obs)) return false;
-  return ::unlink(path.c_str()) == 0;
-}
-
-std::optional<FileLease> FileLease::try_acquire(const std::string& path, double ttl_ms) {
-  int fd = ::open(path.c_str(), O_CREAT | O_EXCL | O_WRONLY | O_CLOEXEC, 0644);
+int open_creating_parents(const std::string& path, int flags) {
+  int fd = ::open(path.c_str(), flags, 0644);
   if (fd < 0 && errno == ENOENT) {
     // First lease under a directory nobody has published into yet (the
     // cache creates dirs on write): create it and retry once.
     const std::filesystem::path parent = std::filesystem::path(path).parent_path();
     std::error_code ec;
     if (!parent.empty()) std::filesystem::create_directories(parent, ec);
-    fd = ::open(path.c_str(), O_CREAT | O_EXCL | O_WRONLY | O_CLOEXEC, 0644);
+    fd = ::open(path.c_str(), flags, 0644);
   }
-  if (fd < 0) return std::nullopt;  // held elsewhere, or the dir is broken
-  const std::string body = "{\"pid\":" + std::to_string(::getpid()) +
-                           ",\"ttl_ms\":" + std::to_string(static_cast<long>(ttl_ms)) + "}\n";
-  const bool wrote = io::write_all(fd, body);
-  ::close(fd);
-  if (!wrote) {
-    // A lease nobody can parse would only be broken by TTL expiry; remove it
-    // now and report contention instead.
-    ::unlink(path.c_str());
-    return std::nullopt;
-  }
-  return FileLease(path);
+  return fd;
 }
 
-FileLease::FileLease(FileLease&& other) noexcept : path_(std::move(other.path_)) {
+}  // namespace
+
+bool held(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return errno != ENOENT;
+  struct flock fl = whole_file_write_lock();
+  const bool locked = ::fcntl(fd, F_OFD_GETLK, &fl) != 0 || fl.l_type != F_UNLCK;
+  ::close(fd);
+  return locked;
+}
+
+std::optional<FileLease> FileLease::try_acquire(const std::string& path) {
+  for (;;) {
+    const int fd = open_creating_parents(path, O_CREAT | O_RDWR | O_CLOEXEC);
+    if (fd < 0) {
+      const int err = errno;  // before the message allocates
+      throw std::system_error(err, std::generic_category(), "open " + path);
+    }
+    if (!lock(fd)) {
+      const int err = errno;
+      ::close(fd);
+      if (err == EAGAIN || err == EACCES) return std::nullopt;  // held elsewhere
+      throw std::system_error(err, std::generic_category(), "lock " + path);
+    }
+    if (names_path(fd, path)) return FileLease(path, fd);
+    // We locked an inode its last holder already released (unlinked) or a
+    // publisher replaced: leading on it would not exclude anyone.
+    ::close(fd);
+  }
+}
+
+std::optional<FileLease> FileLease::publish(const std::string& path, std::string_view body) {
+  const std::string tmp = temp_sibling(path);
+  const int fd = open_creating_parents(tmp, O_CREAT | O_TRUNC | O_RDWR | O_CLOEXEC);
+  if (fd < 0) return std::nullopt;
+  FileLease lease(tmp, fd);  // until the rename, releasing removes the temp file
+  if (!lock(fd) || !io::write_all(fd, body.data(), body.size()) || ::fsync(fd) != 0 ||
+      std::rename(tmp.c_str(), path.c_str()) != 0) {
+    return std::nullopt;
+  }
+  lease.path_ = path;
+  return lease;
+}
+
+FileLease::FileLease(FileLease&& other) noexcept
+    : path_(std::move(other.path_)), fd_(other.fd_) {
   other.path_.clear();
+  other.fd_ = -1;
 }
 
 FileLease& FileLease::operator=(FileLease&& other) noexcept {
   if (this != &other) {
     release();
     path_ = std::move(other.path_);
+    fd_ = other.fd_;
     other.path_.clear();
+    other.fd_ = -1;
   }
   return *this;
 }
 
 void FileLease::release() {
-  if (path_.empty()) return;
+  if (fd_ < 0) return;
+  // Unlink first: a contender that opened the file before this point and
+  // locks it after our close sees a dead inode and retries (try_acquire).
   ::unlink(path_.c_str());
+  ::close(fd_);
+  fd_ = -1;
   path_.clear();
 }
 

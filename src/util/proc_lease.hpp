@@ -1,60 +1,55 @@
 #pragma once
 
 /// \file proc_lease.hpp
-/// Cross-process leader election over a lease *file*: `O_CREAT | O_EXCL`
-/// guarantees exactly one process creates `<path>`, and that process is the
-/// leader for whatever the lease guards (one (scenario, cell)
-/// characterization in the factory's disk cache, the daemon's socket
-/// ownership). Everyone else observes the lease and rendezvouses on the
-/// leader's published result.
+/// Cross-process leader election over a kernel-held lock: a lease is an
+/// open file description holding an `F_OFD_SETLK` write lock on `<path>`.
+/// Exactly one process holds it at a time, and that process is the leader
+/// for whatever the lease guards (one (scenario, cell) characterization in
+/// the factory's disk cache, one fleet spool entry, one spool takeover).
+/// Everyone else rendezvouses on the leader's published result.
 ///
-/// Crash tolerance is the point: a leader that dies mid-work leaves the file
-/// behind, so a lease is *stale* — and may be broken by any observer — when
-/// its recorded pid no longer exists, or when it has outlived its TTL
-/// (covers pid recycling and wedged-but-alive leaders). The file body is one
-/// JSON line `{"pid":N,"ttl_ms":N}`; age is measured from the file's mtime
-/// so observers need no shared clock beyond the filesystem's.
+/// The kernel drops the lock when its holder dies, so crash tolerance needs
+/// no pid, TTL or body: a file nobody locks is crash debris that the next
+/// `try_acquire` simply takes over. Three lock semantics shape the API:
+///  * OFD locks conflict between two `open()`s even inside one process, so
+///    two threads (or one thread twice) contend like two processes;
+///  * `F_OFD_GETLK` reports no holder pid, so `held()` answers only "is
+///    anyone holding it";
+///  * the lock lives until every fd sharing the open file description is
+///    closed, so a forked child must close `fd()` (never `release()`) or it
+///    keeps its parent's lease alive past the parent's death.
 ///
-/// Lint rule SV001 uses `observe_lease` to flag leases that expired without
-/// ever being released (the footprint of a crashed worker).
+/// Lint rule SV001 uses `held` to flag `.lease` files nobody holds (the
+/// footprint of a crashed leader).
 
 #include <optional>
 #include <string>
-
-#include <sys/types.h>
+#include <string_view>
+#include <utility>
 
 namespace rw::util {
 
-/// What an observer can learn about a lease file without holding it.
-struct LeaseObservation {
-  bool exists = false;
-  bool parsed = false;   ///< body was a well-formed lease record
-  pid_t pid = 0;         ///< recorded holder ("0" when !parsed)
-  bool pid_alive = false;
-  double ttl_ms = 0.0;
-  double age_ms = 0.0;   ///< now - file mtime (clamped at 0)
-};
-
-/// Reads `<path>` and probes the recorded pid with `kill(pid, 0)`. A missing
-/// file yields `exists == false`; an unparsable one yields `parsed == false`
-/// (treated as stale — only a torn write or foreign file looks like that).
-LeaseObservation observe_lease(const std::string& path);
-
-/// A stale lease is safe to break: the file exists but its holder is
-/// provably gone (dead pid) or it outlived its TTL (wedged or recycled pid).
-bool lease_is_stale(const LeaseObservation& obs);
-
-/// Unlinks `<path>` iff it is observably stale right now. Returns true when
-/// the file was removed (the caller may then race others for acquisition).
-bool break_lease_if_stale(const std::string& path);
+/// True when some open file description holds a lock on `<path>` — in any
+/// process, this one included. False when the file is missing. An I/O
+/// failure (say EMFILE) also reads as held: every caller then leaves the
+/// file alone, which is the safe answer.
+bool held(const std::string& path);
 
 /// RAII lease ownership; releasing unlinks the file. Move-only.
 class FileLease {
  public:
-  /// One shot at leadership: O_EXCL-creates `<path>` recording this process
-  /// and `ttl_ms`. `std::nullopt` when the file already exists (someone else
-  /// leads) or on I/O failure (treat as contention, not corruption).
-  static std::optional<FileLease> try_acquire(const std::string& path, double ttl_ms);
+  /// One shot at leadership: opens (creating it, and missing parent dirs)
+  /// `<path>` and takes the lock without blocking. A holder that unlinked or
+  /// replaced the file between our open and our lock leaves us locking a
+  /// dead inode, so that case retries on the current file. `std::nullopt`
+  /// when someone else holds it; throws `std::system_error` on I/O failure
+  /// (say EMFILE), which must not pass for another process leading.
+  static std::optional<FileLease> try_acquire(const std::string& path);
+
+  /// Atomically replaces `<path>` with `body` (temp file + rename) and
+  /// returns the lock on the new inode, taken before the rename: no reader
+  /// ever sees the new body unlocked. `std::nullopt` on I/O failure.
+  static std::optional<FileLease> publish(const std::string& path, std::string_view body);
 
   FileLease(FileLease&& other) noexcept;
   FileLease& operator=(FileLease&& other) noexcept;
@@ -62,15 +57,19 @@ class FileLease {
   FileLease& operator=(const FileLease&) = delete;
   ~FileLease() { release(); }
 
-  /// Unlinks the lease file (idempotent). Publish results *before* calling
-  /// this: release is the signal observers rendezvous on.
+  /// Unlinks the lease file while still holding the lock, then closes it
+  /// (idempotent). Publish results *before* calling this: release is the
+  /// signal observers rendezvous on.
   void release();
 
   [[nodiscard]] const std::string& path() const { return path_; }
+  /// The locked descriptor (-1 once released), for a forked child to close.
+  [[nodiscard]] int fd() const { return fd_; }
 
  private:
-  explicit FileLease(std::string path) : path_(std::move(path)) {}
-  std::string path_;  ///< "" once released / moved from
+  FileLease(std::string path, int fd) : path_(std::move(path)), fd_(fd) {}
+  std::string path_;
+  int fd_ = -1;
 };
 
 }  // namespace rw::util

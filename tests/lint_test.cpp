@@ -24,6 +24,7 @@
 #include "netlist/netlist.hpp"
 #include "netlist/verilog.hpp"
 #include "util/interp.hpp"
+#include "util/proc_lease.hpp"
 
 namespace rw::lint {
 namespace {
@@ -751,11 +752,10 @@ TEST(ServeHygiene, StaleLeaseIsFlaggedAndLiveLeaseIsNot) {
                           std::to_string(static_cast<long>(::getpid()));
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir + "/3x3/L0.50_0.50_y10");
-  // A dead holder's lease (pid far above pid_max) and a live one (our own).
-  std::ofstream(dir + "/3x3/L0.50_0.50_y10/NAND2_X1.lib.lease")
-      << "{\"pid\":999999999,\"ttl_ms\":60000}\n";
-  std::ofstream(dir + "/3x3/L0.50_0.50_y10/INV_X1.lib.lease")
-      << "{\"pid\":" << ::getpid() << ",\"ttl_ms\":600000}\n";
+  // Crash debris (a plain file nobody locks) and a live lease (our own).
+  std::ofstream(dir + "/3x3/L0.50_0.50_y10/NAND2_X1.lib.lease") << "";
+  auto live = util::FileLease::try_acquire(dir + "/3x3/L0.50_0.50_y10/INV_X1.lib.lease");
+  ASSERT_TRUE(live.has_value());
 
   Linter linter;
   linter.add_rules(serve_rules());
@@ -766,7 +766,7 @@ TEST(ServeHygiene, StaleLeaseIsFlaggedAndLiveLeaseIsNot) {
   EXPECT_EQ(report[0].rule_id, rules::kStaleServeArtifact);
   EXPECT_EQ(report[0].severity, Severity::kWarning);
   EXPECT_NE(report[0].location.find("NAND2_X1.lib.lease"), std::string::npos);
-  EXPECT_NE(report[0].message.find("dead"), std::string::npos);
+  EXPECT_NE(report[0].message.find("no process holds"), std::string::npos);
   std::filesystem::remove_all(dir);
 }
 

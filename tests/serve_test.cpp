@@ -1,6 +1,7 @@
 /// The characterization service: protocol codec round-trips, cross-process
-/// lease-file semantics, the daemon's crash-only contract (worker SIGKILL,
-/// lease-expiry stalls, daemon SIGKILL + restart, client-timeout dedup —
+/// lease semantics (mutual exclusion under contention, release on holder
+/// death), the daemon's crash-only contract (worker SIGKILL, lease-expiry
+/// stalls, daemon SIGKILL + restart, client-timeout dedup —
 /// each via the seeded serve-chaos harness), graceful overload shedding,
 /// SIGTERM drain, and the headline dedup guarantee: two forked clients
 /// racing the same (scenario, cell) pair cost exactly one SPICE campaign
@@ -10,6 +11,7 @@
 
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -22,6 +24,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -63,6 +66,20 @@ std::string read_file(const std::string& path) {
   return ss.str();
 }
 
+/// Publishes a spool entry from a forked owner that then exits without
+/// releasing it: the footprint a SIGKILLed daemon leaves (the file stays,
+/// the kernel drops the lock). False when the child could not publish.
+bool spool_as_dead_owner(const std::string& path, const serve::WorkerTask& task, double ttl_ms) {
+  const pid_t pid = fork();
+  if (pid < 0) return false;
+  if (pid == 0) {
+    const auto owner = serve::publish_spool_record(path, task, ttl_ms);
+    _exit(owner ? 0 : 1);
+  }
+  int status = 0;
+  return waitpid(pid, &status, 0) == pid && WIFEXITED(status) && WEXITSTATUS(status) == 0;
+}
+
 /// Serve tests fork daemons and workers: the shared pool must be size 1 (a
 /// child forked while pool threads hold locks would deadlock), and a dead
 /// peer must surface as EPIPE, not SIGPIPE.
@@ -79,7 +96,7 @@ class ServeTest : public ::testing::Test {
   }
 };
 
-/// Rewinds a file's atime+mtime `seconds_ago` into the past (GC and lease
+/// Rewinds a file's atime+mtime `seconds_ago` into the past (GC and spool
 /// ages are measured from mtime, so tests fabricate idle time instead of
 /// sleeping through it).
 bool backdate(const std::string& path, double seconds_ago) {
@@ -277,31 +294,31 @@ TEST(ServeProtocol, WorkerFramesRoundTrip) {
 // ---------------------------------------------------------------------------
 // Lease files (the cross-process dedup primitive)
 
-TEST(ServeLease, AcquireContendReleaseAndStaleBreak) {
+TEST(ServeLease, AcquireContendReleaseAndTakeOverUnheldDebris) {
   const std::string dir = unique_dir("lease");
   fs::remove_all(dir);
   fs::create_directories(dir);
   const std::string path = dir + "/cell.lib.lease";
 
-  auto lease = util::FileLease::try_acquire(path, 60000.0);
+  auto lease = util::FileLease::try_acquire(path);
   ASSERT_TRUE(lease.has_value());
-  EXPECT_FALSE(util::FileLease::try_acquire(path, 60000.0).has_value());  // held
-  EXPECT_FALSE(util::break_lease_if_stale(path));  // we are alive; not stale
+  EXPECT_TRUE(util::held(path));
+  // A second open() in this very process contends like another process.
+  EXPECT_FALSE(util::FileLease::try_acquire(path).has_value());
   lease->release();
-  EXPECT_TRUE(util::FileLease::try_acquire(path, 60000.0).has_value());  // free again
+  EXPECT_FALSE(fs::exists(path));  // released = unlinked
+  EXPECT_FALSE(util::held(path));
+  EXPECT_TRUE(util::FileLease::try_acquire(path).has_value());  // free again
 
-  // A dead holder's lease is stale and breakable.
+  // Crash debris — a leftover file nobody locks, whatever its body — is
+  // not held and is simply taken over; releasing it removes it.
   std::ofstream(path) << "{\"pid\":999999999,\"ttl_ms\":60000}\n";
-  const util::LeaseObservation obs = util::observe_lease(path);
-  EXPECT_TRUE(obs.parsed);
-  EXPECT_FALSE(obs.pid_alive);
-  EXPECT_TRUE(util::lease_is_stale(obs));
-  EXPECT_TRUE(util::break_lease_if_stale(path));
+  EXPECT_FALSE(util::held(path));
+  auto taken = util::FileLease::try_acquire(path);
+  ASSERT_TRUE(taken.has_value());
+  EXPECT_TRUE(util::held(path));
+  taken->release();
   EXPECT_FALSE(fs::exists(path));
-
-  // A torn (unparsable) lease is stale by definition.
-  std::ofstream(path) << "garbage";
-  EXPECT_TRUE(util::lease_is_stale(util::observe_lease(path)));
 }
 
 TEST(ServeLease, AcquireCreatesMissingParentDirectories) {
@@ -311,9 +328,70 @@ TEST(ServeLease, AcquireCreatesMissingParentDirectories) {
   const std::string dir = unique_dir("lease_parent");
   fs::remove_all(dir);
   const std::string path = dir + "/3x3/L0.50_0.50_y10/NAND2_X1.lib.lease";
-  auto lease = util::FileLease::try_acquire(path, 60000.0);
+  auto lease = util::FileLease::try_acquire(path);
   ASSERT_TRUE(lease.has_value());
   EXPECT_TRUE(fs::exists(path));
+}
+
+TEST_F(ServeTest, ABatchOfMorePairsThanTheDescriptorLimitLeadsEveryPair) {
+  // A lease is an open descriptor until its pair is published, so a batch
+  // must not hold one per pair: a merged() over more uncached pairs than
+  // RLIMIT_NOFILE allows runs in rounds. Running out of descriptors must
+  // read as an error, never as another process leading.
+  const std::string dir = unique_dir("lease_rlimit");
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  charlib::LibraryFactory::Options opt;
+  opt.characterize.grid = charlib::OpcGrid::single(60.0, 4.0);
+  opt.cell_subset = {"INV_X1"};
+  opt.cache_dir = dir + "/cache";
+  opt.use_manifest = false;
+  std::vector<aging::AgingScenario> corners;
+  for (int p = 0; p < 9; ++p) {
+    for (int n = 0; n < 9; ++n) corners.push_back({0.1 * p, 0.1 * n, 10.0, true});
+  }
+  constexpr rlim_t kFdLimit = 64;
+  ASSERT_GT(corners.size(), kFdLimit);
+
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    struct rlimit lim {};
+    if (::getrlimit(RLIMIT_NOFILE, &lim) != 0) _exit(10);
+    lim.rlim_cur = kFdLimit;
+    if (::setrlimit(RLIMIT_NOFILE, &lim) != 0) _exit(10);
+    try {
+      charlib::LibraryFactory factory(opt);
+      (void)factory.merged(corners);
+      if (!factory.quarantined().empty()) _exit(11);
+    } catch (...) {
+      _exit(12);
+    }
+    // With every descriptor in use, acquiring is an I/O error.
+    while (::open("/dev/null", O_RDONLY) >= 0) {
+    }
+    try {
+      (void)util::FileLease::try_acquire(dir + "/full.lease");
+      _exit(13);
+    } catch (const std::system_error& e) {
+      _exit(e.code() == std::errc::too_many_files_open ? 0 : 14);
+    }
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+
+  std::size_t libs = 0;
+  std::size_t leases = 0;
+  for (const auto& entry : fs::recursive_directory_iterator(opt.cache_dir)) {
+    const std::string name = entry.path().filename().string();
+    libs += static_cast<std::size_t>(name == "INV_X1.lib");
+    leases += static_cast<std::size_t>(entry.path().extension() == ".lease");
+  }
+  EXPECT_EQ(libs, corners.size());
+  EXPECT_EQ(leases, 0u);
+  fs::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -562,103 +640,167 @@ TEST(ServeClientJitter, SeedsPinAndDecorrelateTheDelaySequence) {
 }
 
 // ---------------------------------------------------------------------------
-// Lease edge cases: torn mid-write bodies, TTL expiry on a live-but-wedged
-// holder, and a multi-process break-then-rendezvous race.
+// Lease edge cases: locks taken outside the primitive, holder death, the
+// contender that opened a file its holder then released, and mutual
+// exclusion under many-process contention.
 
-TEST(ServeLease, TornMidWriteBodyIsStaleAndAFreshLiveLeaseIsNot) {
-  const std::string dir = unique_dir("lease_torn");
+/// A whole-file OFD write lock on `fd`, as util::FileLease takes it.
+bool ofd_lock(int fd) {
+  struct flock fl {};
+  fl.l_type = F_WRLCK;
+  fl.l_whence = SEEK_SET;
+  return ::fcntl(fd, F_OFD_SETLK, &fl) == 0;
+}
+
+TEST(ServeLease, ALockTakenThroughAnotherOpenInThisProcessReadsAsHeld) {
+  const std::string dir = unique_dir("lease_ofd");
   fs::remove_all(dir);
   fs::create_directories(dir);
   const std::string path = dir + "/cell.lib.lease";
 
-  // A writer SIGKILLed mid-acquire leaves a prefix of the record; every
-  // truncation point must read as stale, never as a live holder.
-  for (const std::string body : {"{\"pid\":123", "{\"pid\":", "{", "{\"pid\":123,\"ttl_ms\":"}) {
-    std::ofstream(path, std::ios::trunc) << body;
-    const util::LeaseObservation obs = util::observe_lease(path);
-    EXPECT_TRUE(obs.exists) << body;
-    EXPECT_FALSE(obs.parsed) << body;
-    EXPECT_TRUE(util::lease_is_stale(obs)) << body;
+  const int fd = ::open(path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
+  ASSERT_GE(fd, 0);
+  EXPECT_FALSE(util::held(path));  // an open file is not a lock
+  ASSERT_TRUE(ofd_lock(fd));
+  EXPECT_TRUE(util::held(path));
+  EXPECT_FALSE(util::FileLease::try_acquire(path).has_value());
+  // held() opens and closes its own descriptor; unlike a classic POSIX
+  // lock, that close must not drop the lock held through `fd`.
+  EXPECT_TRUE(util::held(path));
+  ::close(fd);
+  EXPECT_FALSE(util::held(path));
+  EXPECT_TRUE(util::FileLease::try_acquire(path).has_value());
+}
+
+TEST(ServeLease, TheKernelFreesADeadHoldersLockButNeverAWedgedOnes) {
+  const std::string dir = unique_dir("lease_death");
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = dir + "/cell.lib.lease";
+
+  int ready[2];
+  ASSERT_EQ(::pipe(ready), 0);
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    ::close(ready[0]);
+    auto lease = util::FileLease::try_acquire(path);
+    const char byte = lease ? 'y' : 'n';
+    (void)!::write(ready[1], &byte, 1);
+    for (;;) ::pause();  // a wedged leader: alive, holding, never releasing
   }
-  ASSERT_EQ(::unlink(path.c_str()), 0);
+  ::close(ready[1]);
+  char byte = 0;
+  ASSERT_EQ(::read(ready[0], &byte, 1), 1);
+  ::close(ready[0]);
+  ASSERT_EQ(byte, 'y');
 
-  // A fresh lease held by a live process is not stale from any angle.
-  auto lease = util::FileLease::try_acquire(path, 60000.0);
-  ASSERT_TRUE(lease.has_value());
-  const util::LeaseObservation live = util::observe_lease(path);
-  EXPECT_TRUE(live.parsed);
-  EXPECT_EQ(live.pid, ::getpid());
-  EXPECT_TRUE(live.pid_alive);
-  EXPECT_FALSE(util::lease_is_stale(live));
+  // No TTL: however long the holder has been idle, it still leads.
+  ASSERT_TRUE(backdate(path, 3600.0));
+  EXPECT_TRUE(util::held(path));
+  EXPECT_FALSE(util::FileLease::try_acquire(path).has_value());
+
+  // SIGKILL gives the holder no chance to clean up; its file stays behind,
+  // but the lock died with it, so the next contender leads.
+  ASSERT_EQ(::kill(child, SIGKILL), 0);
+  int status = 0;
+  ASSERT_EQ(waitpid(child, &status, 0), child);
+  EXPECT_TRUE(fs::exists(path));
+  EXPECT_FALSE(util::held(path));
+  EXPECT_TRUE(util::FileLease::try_acquire(path).has_value());
 }
 
-TEST(ServeLease, TtlExpiryMakesALiveHoldersLeaseStale) {
-  // The wedged-leader case: the holder is alive (kill(pid,0) succeeds) but
-  // its lease outlived the TTL — observers must be able to break it, or a
-  // hung daemon would pin its (scenario, cell) forever.
-  const std::string dir = unique_dir("lease_ttl");
+TEST(ServeLease, AContenderThatOpenedBeforeTheReleaseDoesNotLead) {
+  const std::string dir = unique_dir("lease_dead_inode");
   fs::remove_all(dir);
   fs::create_directories(dir);
   const std::string path = dir + "/cell.lib.lease";
 
-  auto lease = util::FileLease::try_acquire(path, 1000.0);
-  ASSERT_TRUE(lease.has_value());
-  ASSERT_TRUE(backdate(path, 10.0));  // 10 s idle vs a 1 s TTL
-
-  const util::LeaseObservation obs = util::observe_lease(path);
-  EXPECT_TRUE(obs.parsed);
-  EXPECT_TRUE(obs.pid_alive);           // we ARE alive...
-  EXPECT_GT(obs.age_ms, obs.ttl_ms);    // ...but long past the deadline
-  EXPECT_TRUE(util::lease_is_stale(obs));
-  EXPECT_TRUE(util::break_lease_if_stale(path));
-  EXPECT_FALSE(fs::exists(path));
-  lease->release();  // idempotent: the file is already gone
+  auto holder = util::FileLease::try_acquire(path);
+  ASSERT_TRUE(holder.has_value());
+  // A contender's open() lands on the holder's file just before release...
+  const int early = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
+  ASSERT_GE(early, 0);
+  holder->release();
+  // ...and a third process creates a fresh file and leads on it.
+  auto next = util::FileLease::try_acquire(path);
+  ASSERT_TRUE(next.has_value());
+  // The contender's lock now succeeds, but on the unlinked inode: leading
+  // there would overlap `next`. try_acquire checks the locked inode is
+  // still the one at `path` and otherwise contends for the current file,
+  // which `next` holds.
+  EXPECT_TRUE(ofd_lock(early));
+  struct stat locked {};
+  struct stat current {};
+  ASSERT_EQ(::fstat(early, &locked), 0);
+  ASSERT_EQ(::stat(path.c_str(), &current), 0);
+  EXPECT_NE(locked.st_ino, current.st_ino);
+  EXPECT_TRUE(util::held(path));
+  EXPECT_FALSE(util::FileLease::try_acquire(path).has_value());
+  ::close(early);
 }
 
-TEST_F(ServeTest, ThreeProcessesBreakAStaleLeaseOnceAndAllRendezvous) {
-  const std::string dir = unique_dir("lease_race");
+TEST(ServeLease, EightContendersNeverHoldAtOnceOverAThousandRoundsEach) {
+  // Every holder increments a shared count under the lease, checks it saw
+  // no other holder, and decrements it before releasing. Contenders race
+  // the whole release window: open before the holder's unlink, lock after
+  // its close, and create a fresh file while others still hold a dead one.
+  const std::string dir = unique_dir("lease_stress");
   fs::remove_all(dir);
   fs::create_directories(dir);
   const std::string path = dir + "/cell.lib.lease";
-  // Crash debris: a dead holder's lease (pid far above pid_max).
-  std::ofstream(path) << "{\"pid\":999999999,\"ttl_ms\":60000}\n";
+  const std::string holders_path = dir + "/holders";
+  {
+    const std::int32_t zero = 0;
+    std::ofstream(holders_path, std::ios::binary)
+        .write(reinterpret_cast<const char*>(&zero), sizeof zero);
+  }
+  constexpr int kContenders = 8;
+  constexpr int kRounds = 1000;
 
-  pid_t pids[3] = {-1, -1, -1};
-  for (int i = 0; i < 3; ++i) {
-    pids[i] = fork();
-    ASSERT_GE(pids[i], 0);
-    if (pids[i] == 0) {
-      bool broke = false;
-      for (int iter = 0; iter < 4000; ++iter) {
-        if (util::break_lease_if_stale(path)) broke = true;
-        if (auto lease = util::FileLease::try_acquire(path, 60000.0)) {
-          // unlink() is atomic, so at most one contender's break succeeded;
-          // everyone else acquires only after the current holder releases.
-          if (broke) std::ofstream(dir + "/broke_" + std::to_string(i)) << i;
-          std::ofstream(dir + "/acq_" + std::to_string(i)) << i;
-          std::this_thread::sleep_for(std::chrono::milliseconds(20));
-          lease->release();
-          _exit(0);
+  std::vector<pid_t> pids;
+  for (int i = 0; i < kContenders; ++i) {
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      const int holders = ::open(holders_path.c_str(), O_RDWR | O_CLOEXEC);
+      if (holders < 0) _exit(4);
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(120);
+      for (int round = 0; round < kRounds;) {
+        auto lease = util::FileLease::try_acquire(path);
+        if (!lease) {
+          if (std::chrono::steady_clock::now() > deadline) _exit(3);  // starved
+          std::this_thread::yield();
+          continue;
         }
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        std::int32_t count = -1;
+        if (::pread(holders, &count, sizeof count, 0) != sizeof count) _exit(4);
+        ++count;
+        if (::pwrite(holders, &count, sizeof count, 0) != sizeof count) _exit(4);
+        if (count != 1) _exit(1);  // another holder is inside too
+        std::this_thread::yield();
+        if (::pread(holders, &count, sizeof count, 0) != sizeof count) _exit(4);
+        if (count != 1) _exit(1);
+        --count;
+        if (::pwrite(holders, &count, sizeof count, 0) != sizeof count) _exit(4);
+        lease->release();
+        ++round;
       }
-      _exit(3);  // never acquired: the race wedged
+      _exit(0);
     }
+    pids.push_back(pid);
   }
   for (const pid_t pid : pids) {
     int status = 0;
     ASSERT_EQ(waitpid(pid, &status, 0), pid);
     ASSERT_TRUE(WIFEXITED(status));
-    EXPECT_EQ(WEXITSTATUS(status), 0);
+    EXPECT_EQ(WEXITSTATUS(status), 0) << "1: overlapping holders, 3: starved, 4: I/O";
   }
-  int broke_count = 0;
-  int acq_count = 0;
-  for (int i = 0; i < 3; ++i) {
-    broke_count += fs::exists(dir + "/broke_" + std::to_string(i)) ? 1 : 0;
-    acq_count += fs::exists(dir + "/acq_" + std::to_string(i)) ? 1 : 0;
-  }
-  EXPECT_EQ(broke_count, 1);  // exactly one contender removed the stale file
-  EXPECT_EQ(acq_count, 3);    // and every contender eventually held the lease
+  std::int32_t final_count = -1;
+  std::ifstream(holders_path, std::ios::binary)
+      .read(reinterpret_cast<char*>(&final_count), sizeof final_count);
+  EXPECT_EQ(final_count, 0);
+  EXPECT_FALSE(fs::exists(path));  // every round released (unlinked) its file
 }
 
 // ---------------------------------------------------------------------------
@@ -676,28 +818,31 @@ TEST(ServeSpool, RecordRoundTripsAndDoublesAsALease) {
   wt.lambda_n = 0.5;
   wt.years = 10.0;
   const std::string path = serve::spool_path(sd, wt.task);
-  ASSERT_TRUE(serve::write_spool_record(path, wt, 1234.0));
+  auto owner = serve::publish_spool_record(path, wt, 1234.0);
+  ASSERT_TRUE(owner.has_value());
 
   serve::SpoolRecord rec;
   ASSERT_TRUE(serve::read_spool_record(path, rec));
-  EXPECT_EQ(rec.owner, ::getpid());
   EXPECT_EQ(rec.ttl_ms, 1234.0);
+  EXPECT_LT(rec.age_ms, 1234.0);  // just published
   EXPECT_EQ(rec.task.task, wt.task);
   EXPECT_EQ(rec.task.cell, wt.cell);
   EXPECT_EQ(rec.task.lambda_p, 0.5);
   EXPECT_EQ(rec.task.years, 10.0);
 
-  // The same bytes parse as a lease held by this (live) process.
-  const util::LeaseObservation obs = util::observe_lease(path);
-  EXPECT_TRUE(obs.parsed);
-  EXPECT_EQ(obs.pid, ::getpid());
-  EXPECT_TRUE(obs.pid_alive);
-  EXPECT_EQ(obs.ttl_ms, 1234.0);
-  EXPECT_FALSE(util::lease_is_stale(obs));
-
+  // The published file is locked by its owner from the first byte a peer
+  // can read; an entry nobody holds is a dead owner's, adoptable.
+  EXPECT_TRUE(util::held(path));
   const std::vector<std::string> tasks = serve::list_spool_tasks(sd);
   ASSERT_EQ(tasks.size(), 1u);
   EXPECT_EQ(tasks[0], path);
+  owner->release();  // task completed: unspooled
+  EXPECT_TRUE(serve::list_spool_tasks(sd).empty());
+
+  ASSERT_TRUE(spool_as_dead_owner(path, wt, 1234.0));
+  EXPECT_FALSE(util::held(path));
+  ASSERT_TRUE(serve::read_spool_record(path, rec));
+  EXPECT_EQ(rec.task.task, wt.task);
 }
 
 // ---------------------------------------------------------------------------
@@ -726,7 +871,7 @@ TEST(ServeGc, SweepEvictsIdleSkipsProtectedAndCompletesTombstones) {
   const std::string leased_lib = entry("LEASED");
   ASSERT_TRUE(backdate(leased_lib, 3600.0));
   ASSERT_TRUE(backdate(charlib::LibraryFactory::usage_stamp_path(leased_lib), 3600.0));
-  auto lease = util::FileLease::try_acquire(leased_lib + ".lease", 600000.0);
+  auto lease = util::FileLease::try_acquire(leased_lib + ".lease");
   ASSERT_TRUE(lease.has_value());
 
   const std::string recent_lib = entry("RECENT");
@@ -743,7 +888,7 @@ TEST(ServeGc, SweepEvictsIdleSkipsProtectedAndCompletesTombstones) {
   wt.lambda_p = 0.5;
   wt.lambda_n = 0.5;
   wt.years = 10.0;
-  ASSERT_TRUE(serve::write_spool_record(
+  ASSERT_TRUE(spool_as_dead_owner(
       serve::spool_path(serve::spool_dir(root + "/3x3"), wt.task), wt, 60000.0));
 
   serve::GcOptions opt;
@@ -848,6 +993,58 @@ TEST_F(ServeTest, FleetWedgedDaemonsSpoolIsStolenByItsPeer) {
   const flow::ChaosTrialResult t =
       flow::run_serve_fleet_trial(p, unique_dir("fleet_steal"), reference_library());
   EXPECT_EQ(t.outcome, "failed_then_resumed") << t.detail;
+}
+
+TEST_F(ServeTest, AnOrphanedWorkerDoesNotKeepItsDeadDaemonsSpoolLocked) {
+  // The daemon's spool locks live as long as ANY descriptor shares them, so
+  // a worker forked while a task is spooled must close them. Here the first
+  // worker is SIGKILLed right after dispatch; its respawn (forked with the
+  // task spooled) gets the redelivery and stalls in it, and the daemon
+  // SIGKILLs itself on that dispatch. The stalled orphan outlives the
+  // daemon, yet the spool entry must be free for a peer to adopt at once.
+  const std::string dir = unique_dir("serve_orphan_spool");
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string socket_path =
+      "/tmp/rwservetest_orph_" + std::to_string(::getpid()) + ".sock";
+  serve::ServeOptions options = base_options(dir, socket_path);
+  options.chaos_kill_worker_after = 1;
+  options.chaos_hang_after = 2;
+  options.chaos_hang_ms = 1500.0;
+  options.chaos_exit_after = 2;
+  const pid_t daemon = spawn_daemon(options);
+  ASSERT_GT(daemon, 0);
+
+  int fd = -1;
+  for (int i = 0; i < 200 && fd < 0; ++i) {
+    fd = util::io::connect_unix(socket_path);
+    if (fd < 0) std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  }
+  ASSERT_GE(fd, 0);
+  const aging::AgingScenario scenario = flow::serve_chaos_scenario();
+  serve::Request req;
+  req.id = "orphan-1";
+  req.op = "characterize";
+  req.cell = "NAND2_X1";
+  req.lambda_p = scenario.lambda_p;
+  req.lambda_n = scenario.lambda_n;
+  req.years = scenario.years;
+  req.include_mobility = scenario.include_mobility;
+  ASSERT_TRUE(util::io::write_all(fd, serve::to_json(req) + "\n"));
+
+  int status = 0;
+  ASSERT_EQ(waitpid(daemon, &status, 0), daemon);
+  ::close(fd);
+  ::unlink(socket_path.c_str());
+  ASSERT_TRUE(WIFSIGNALED(status));
+  ASSERT_EQ(WTERMSIG(status), SIGKILL);
+
+  std::vector<std::string> entries;
+  for (const auto& e : fs::recursive_directory_iterator(dir)) {
+    if (e.path().extension() == ".task") entries.push_back(e.path().string());
+  }
+  ASSERT_EQ(entries.size(), 1u);  // the dead daemon never unspooled it
+  EXPECT_FALSE(util::held(entries[0]));
 }
 
 // ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ void print_usage(std::ostream& os) {
         "  --flow-manifest FILE  check a flow checkpoint manifest against its\n"
         "                   artifacts (FL001; repeatable)\n"
         "  --cache-dir DIR  scan a characterization cache for stale serve\n"
-        "                   artifacts: dead leases, dead sockets (SV001)\n"
+        "                   artifacts: unheld leases, dead sockets (SV001)\n"
         "  --format FMT     output format: text (default) or json\n"
         "  --baseline FILE  suppress findings recorded in FILE; when FILE does not\n"
         "                   exist, record the current findings into it and exit 0\n"
@@ -270,7 +270,7 @@ int main(int argc, char** argv) {
     append(rw::flow::lint_flow_manifest(path));
   }
 
-  // SV001: stale serve artifacts (dead leases/sockets) in a cache root.
+  // SV001: stale serve artifacts (unheld leases, dead sockets) in a cache root.
   if (!args.cache_dir.empty()) {
     rw::lint::Linter serve_linter;
     serve_linter.add_rules(rw::lint::serve_rules());
