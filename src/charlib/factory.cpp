@@ -228,34 +228,30 @@ const liberty::Cell& LibraryFactory::cell(const std::string& cell_name,
   }
 
   liberty::Cell result;
+  bool from_disk = false;
   try {
-    result = build_cell(cell_name, scenario);
+    result = build_cell(cell_name, scenario, from_disk);
   } catch (...) {
     finalize_failure(key, job, std::current_exception());
     throw;
   }
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  const liberty::Cell& ref = cell_cache_.emplace(key, std::move(result)).first->second;
-  manifest_.record_done(key.first, key.second, static_cast<int>(ref.fallbacks.size()));
-  manifest_.save();
-  job->done = true;
-  in_flight_.erase(key);
-  cv_.notify_all();
-  return ref;
+  return finalize_success(key, job, std::move(result), !from_disk);
 }
 
-void LibraryFactory::finalize_success(const CellKey& key, const std::shared_ptr<CellJob>& job,
-                                      liberty::Cell cell) {
+const liberty::Cell& LibraryFactory::finalize_success(const CellKey& key,
+                                                      const std::shared_ptr<CellJob>& job,
+                                                      liberty::Cell cell, bool checkpoint) {
+  const liberty::Cell* ref = nullptr;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    const liberty::Cell& ref = cell_cache_.emplace(key, std::move(cell)).first->second;
-    manifest_.record_done(key.first, key.second, static_cast<int>(ref.fallbacks.size()));
-    manifest_.save();
+    ref = &cell_cache_.emplace(key, std::move(cell)).first->second;
+    manifest_.record_done(key.first, key.second, static_cast<int>(ref->fallbacks.size()));
+    if (checkpoint) manifest_.save();
     job->done = true;
     in_flight_.erase(key);
   }
   cv_.notify_all();
+  return *ref;
 }
 
 void LibraryFactory::finalize_failure(const CellKey& key, const std::shared_ptr<CellJob>& job,
@@ -289,7 +285,9 @@ std::vector<aging::AgingScenario> LibraryFactory::direct_scenarios(
 }
 
 liberty::Cell LibraryFactory::build_cell(const std::string& cell_name,
-                                         const aging::AgingScenario& scenario) {
+                                         const aging::AgingScenario& scenario,
+                                         bool& from_disk) {
+  from_disk = true;
   // Honor cancellation even on the all-disk-hit path: a SIGTERM during a
   // large library load used to be noticed only at the next parallel_for
   // poll, which never comes when every cell is a cache hit.
@@ -299,6 +297,7 @@ liberty::Cell LibraryFactory::build_cell(const std::string& cell_name,
     if (auto cached = load_cached_cell(lib_path, cell_name)) return std::move(*cached);
   }
   if (options_.disk_only) throw CacheMissError(scenario.id(), cell_name);
+  from_disk = false;
 
   const AdaptiveGridOptions& adaptive = options_.characterize.adaptive;
   if (adaptive.enabled && !on_lattice(scenario, adaptive.lattice_step)) {
@@ -343,6 +342,7 @@ liberty::Cell LibraryFactory::build_cell(const std::string& cell_name,
       // without this, two forked clients can both run the campaign).
       if (auto cached = load_cached_cell(lib_path, cell_name)) {
         lease->release();
+        from_disk = true;
         return std::move(*cached);
       }
       liberty::Cell result =
@@ -356,7 +356,10 @@ liberty::Cell LibraryFactory::build_cell(const std::string& cell_name,
     // Follower: poll for the leader's publish (cheap — one exists() probe
     // until the file lands), taking over if the leader died.
     flow::throw_if_cancelled();
-    if (auto cached = load_cached_cell(lib_path, cell_name)) return std::move(*cached);
+    if (auto cached = load_cached_cell(lib_path, cell_name)) {
+      from_disk = true;
+      return std::move(*cached);
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
 }
@@ -426,7 +429,7 @@ void LibraryFactory::characterize_batch(
         if (!options_.cache_dir.empty()) {
           const std::string lib_path = cell_lib_path(name, scenario);
           if (auto cached = load_cached_cell(lib_path, name)) {
-            finalize_success(item->key, item->job, std::move(*cached));
+            finalize_success(item->key, item->job, std::move(*cached), false);
             continue;
           }
           if (options_.disk_only) throw CacheMissError(key.first, name);
@@ -442,7 +445,7 @@ void LibraryFactory::characterize_batch(
           // between our miss above and this acquire.
           if (auto cached = load_cached_cell(lib_path, name)) {
             item->lease.reset();
-            finalize_success(item->key, item->job, std::move(*cached));
+            finalize_success(item->key, item->job, std::move(*cached), false);
             continue;
           }
         }
@@ -492,7 +495,10 @@ void LibraryFactory::characterize_batch(
     // Finish phase (serial, deterministic item order): assemble each cell —
     // fallback interpolation and the flop setup search happen here — publish
     // it, and release waiters. Every item is finalized even when another
-    // failed; only then is the first non-CharError failure rethrown.
+    // failed; only then is the first non-CharError failure rethrown. The
+    // manifest is saved once per round if this process characterized any
+    // pair in it (quarantines save at once, in finalize_failure).
+    bool characterized = false;
     for (auto& item : items) {
       std::exception_ptr failure = item->task_error;
       if (!failure) {
@@ -501,7 +507,10 @@ void LibraryFactory::characterize_batch(
             // Rendezvous item: another process held the lease at claim time.
             // build_cell waits for its publish — or takes over (this process
             // becomes leader) if that process died and the kernel freed it.
-            finalize_success(item->key, item->job, build_cell(item->key.second, item->scenario));
+            bool from_disk = false;
+            liberty::Cell cell = build_cell(item->key.second, item->scenario, from_disk);
+            characterized = characterized || !from_disk;
+            finalize_success(item->key, item->job, std::move(cell), false);
             continue;
           }
           liberty::Cell cell = item->work->finish();
@@ -509,7 +518,8 @@ void LibraryFactory::characterize_batch(
             store_cached_cell(item->scenario, item->key.second, cell);
           }
           item->lease.reset();  // publish happened; let followers take the file
-          finalize_success(item->key, item->job, std::move(cell));
+          characterized = true;
+          finalize_success(item->key, item->job, std::move(cell), false);
           continue;
         } catch (...) {
           failure = std::current_exception();
@@ -518,6 +528,10 @@ void LibraryFactory::characterize_batch(
       item->lease.reset();
       finalize_failure(item->key, item->job, failure);
       note_failure(failure);
+    }
+    if (characterized) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      manifest_.save();
     }
   }
   if (first_error) std::rethrow_exception(first_error);

@@ -37,7 +37,10 @@
 /// `resume()` / $RW_CHAR_RESUME, and pairs that fail permanently (a
 /// `CharError` after the solver's full retry ladder) are quarantined with
 /// their error chain: later requests for the pair fail fast with the same
-/// chain, and `merged()` skips quarantined pairs instead of aborting.
+/// chain, and `merged()` skips quarantined pairs instead of aborting. The
+/// manifest file is written only when resume state changes (see
+/// manifest.hpp): never on a disk-cache hit, so warm loads stay off fsync
+/// and off the factory mutex's critical path.
 ///
 /// Cross-process dedup: when the disk cache is enabled, the in-flight-leader
 /// machinery extends across process boundaries via a kernel-held lock on a
@@ -211,8 +214,11 @@ class LibraryFactory {
   std::vector<aging::AgingScenario> direct_scenarios(const aging::AgingScenario& scenario) const;
   /// Produces one cell result (disk cache -> λ interpolation -> direct
   /// characterization). Runs outside the factory mutex, inside the caller's
-  /// in-flight claim on (scenario, cell).
-  liberty::Cell build_cell(const std::string& cell_name, const aging::AgingScenario& scenario);
+  /// in-flight claim on (scenario, cell). `from_disk` tells whether the
+  /// result was read from the disk cache (published by this process earlier
+  /// or by a peer) rather than computed here.
+  liberty::Cell build_cell(const std::string& cell_name, const aging::AgingScenario& scenario,
+                           bool& from_disk);
   /// Characterizes every not-yet-cached pair through one flat top-level task
   /// list (every pair's arc×OPC tasks merged; no nested parallel_for).
   /// `pairs` must be direct (lattice) scenarios. CharErrors are quarantined
@@ -220,9 +226,12 @@ class LibraryFactory {
   /// pair; the first other failure (I/O, cancellation, logic bug) is
   /// rethrown after every pair has been finalized and its waiters released.
   void characterize_batch(const std::vector<std::pair<aging::AgingScenario, std::string>>& pairs);
-  /// Publishes a finished cell under `key` and releases its waiters.
-  void finalize_success(const CellKey& key, const std::shared_ptr<CellJob>& job,
-                        liberty::Cell cell);
+  /// Publishes a finished cell under `key`, records it "done" in the
+  /// in-memory manifest, and releases its waiters. `checkpoint` also saves
+  /// the manifest file; callers pass it only for a pair this process just
+  /// computed, never for a disk-cache hit.
+  const liberty::Cell& finalize_success(const CellKey& key, const std::shared_ptr<CellJob>& job,
+                                        liberty::Cell cell, bool checkpoint);
   /// Records a failed pair (quarantining CharErrors) and releases waiters.
   void finalize_failure(const CellKey& key, const std::shared_ptr<CellJob>& job,
                         std::exception_ptr error);

@@ -17,6 +17,12 @@
 /// atomically (temp + rename) so a crash mid-save leaves the previous
 /// checkpoint valid.
 ///
+/// The factory records every pair it serves in memory, but rewrites the file
+/// only when resume state changes: once per `library()` / `merged()` round
+/// that characterized a pair, after each pair `cell()` computes on its own,
+/// and at once for every quarantine. A disk-cache hit never writes it, so a
+/// warm read leaves the file (bytes and mtime) as a campaign left it.
+///
 /// RunManifest itself is not thread-safe; the factory serializes access
 /// under its own mutex.
 

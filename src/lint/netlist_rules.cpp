@@ -174,10 +174,11 @@ class DanglingOutputRule final : public Rule {
   void run(const LintSubject& subject, std::vector<Diagnostic>& out) const override {
     if (subject.module == nullptr) return;
     const netlist::Module& m = *subject.module;
+    const netlist::Fanout fanout(m);
     for (std::size_t i = 0; i < m.instances().size(); ++i) {
       const netlist::NetId o = m.instances()[i].out;
       if (o == netlist::kNoNet) continue;  // NL006 (no output) covers this
-      if (m.fanout_count(o) == 0) {
+      if (fanout.count(o) == 0) {
         out.push_back(Diagnostic{rules::kDanglingOutput, Severity::kWarning, inst_loc(m, i),
                                  "output net " + m.net_name(o) + " feeds nothing",
                                  "remove the dead instance or connect its output"});

@@ -78,7 +78,8 @@ void TimingSimulator::schedule(double t_ps, netlist::NetId net, bool value) {
 }
 
 void TimingSimulator::evaluate_sinks(netlist::NetId net, double t_ps) {
-  for (const int sink : adj_.net_sinks[static_cast<std::size_t>(net)]) {
+  for (const netlist::PinUse use : adj_.fanout.sinks(net)) {
+    const int sink = use.instance;
     if (adj_.is_flop[static_cast<std::size_t>(sink)]) continue;  // flops sample at edges only
     const auto& inst = module_.instances()[static_cast<std::size_t>(sink)];
     bool pins[8];

@@ -124,32 +124,13 @@ int Module::driver(NetId net) const {
   return driver_[static_cast<std::size_t>(net)];
 }
 
-std::vector<int> Module::sinks(NetId net) const {
-  std::vector<int> out;
-  for (std::size_t i = 0; i < instances_.size(); ++i) {
-    const auto& fanin = instances_[i].fanin;
-    if (std::find(fanin.begin(), fanin.end(), net) != fanin.end()) {
-      out.push_back(static_cast<int>(i));
-    }
-  }
-  return out;
-}
-
-int Module::fanout_count(NetId net) const {
-  int n = 0;
-  for (const auto& inst : instances_) {
-    for (NetId f : inst.fanin) {
-      if (f == net) ++n;
-    }
-  }
-  for (NetId po : outputs_) {
-    if (po == net) ++n;
-  }
-  return n;
-}
-
 std::vector<lint::Diagnostic> Module::check() const {
   std::vector<lint::Diagnostic> out;
+  const Fanout fanout(*this);
+  std::vector<bool> is_pi(driver_.size(), false);
+  for (NetId n : inputs_) {
+    if (n >= 0 && n < net_count()) is_pi[static_cast<std::size_t>(n)] = true;
+  }
   const auto emit = [&](const char* rule, const std::string& location, std::string message,
                         std::string hint) {
     out.push_back(lint::Diagnostic{rule, lint::Severity::kError, name_ + ":" + location,
@@ -157,18 +138,16 @@ std::vector<lint::Diagnostic> Module::check() const {
   };
   for (NetId n = 0; n < net_count(); ++n) {
     const bool driven = driver_[static_cast<std::size_t>(n)] != -1;
-    const bool is_pi = is_input(n);
-    if (driven && is_pi) {
+    if (driven && is_pi[static_cast<std::size_t>(n)]) {
       emit(lint::rules::kMultiDrivenNet, "net " + net_name(n),
            "primary input is also driven by instance " +
                instances_[static_cast<std::size_t>(driver_[static_cast<std::size_t>(n)])].name,
            "remove the port marking or the driving instance");
     }
-    if (!driven && !is_pi) {
+    if (!driven && !is_pi[static_cast<std::size_t>(n)]) {
       // Dangling nets (no sinks, not an output) are allowed — they arise
       // when trial optimization moves are backed out.
-      const bool is_po = std::find(outputs_.begin(), outputs_.end(), n) != outputs_.end();
-      if (is_po || !sinks(n).empty()) {
+      if (fanout.count(n) > 0) {
         emit(lint::rules::kUndrivenNet, "net " + net_name(n),
              "used net has no driver and is not a primary input",
              "drive the net or mark it as an input");
@@ -190,6 +169,34 @@ std::vector<lint::Diagnostic> Module::check() const {
     }
   }
   return out;
+}
+
+Fanout::Fanout(const Module& module) {
+  const auto n_nets = static_cast<std::size_t>(module.net_count());
+  const auto& instances = module.instances();
+  // Counting sort keyed by net: count, prefix-sum, then fill in instance
+  // order so each net's slice comes out sorted by (instance, pin).
+  offset_.assign(n_nets + 1, 0);
+  for (const Instance& inst : instances) {
+    for (NetId f : inst.fanin) {
+      if (f != kNoNet) ++offset_[static_cast<std::size_t>(f) + 1];
+    }
+  }
+  for (std::size_t n = 0; n < n_nets; ++n) offset_[n + 1] += offset_[n];
+  uses_.resize(static_cast<std::size_t>(offset_[n_nets]));
+  std::vector<int> cursor(offset_.begin(), offset_.end() - 1);
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    const auto& fanin = instances[i].fanin;
+    for (std::size_t p = 0; p < fanin.size(); ++p) {
+      if (fanin[p] == kNoNet) continue;
+      uses_[static_cast<std::size_t>(cursor[static_cast<std::size_t>(fanin[p])]++)] =
+          PinUse{static_cast<int>(i), static_cast<int>(p)};
+    }
+  }
+  po_uses_.assign(n_nets, 0);
+  for (NetId po : module.outputs()) {
+    if (po >= 0 && po < module.net_count()) ++po_uses_[static_cast<std::size_t>(po)];
+  }
 }
 
 void Module::validate() const {

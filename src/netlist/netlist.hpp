@@ -5,6 +5,7 @@
 /// nets. This is what synthesis emits, STA and the gate-level simulators
 /// consume, and the dynamic-aging flow annotates.
 
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -73,9 +74,6 @@ class Module {
 
   /// Index of the instance driving `net`, or -1 (primary input / undriven).
   [[nodiscard]] int driver(NetId net) const;
-  /// Instance indices with `net` on an input pin.
-  [[nodiscard]] std::vector<int> sinks(NetId net) const;
-  [[nodiscard]] int fanout_count(NetId net) const;
 
   /// Structural checks: every non-input net has exactly one driver, every
   /// instance pin references a valid net. Collects *all* violations (rule ids
@@ -96,6 +94,39 @@ class Module {
   std::vector<Instance> instances_;
   std::vector<std::pair<NetId, int>> extra_drivers_;  ///< see extra_drivers()
   int gen_counter_ = 0;
+};
+
+/// One input-pin use of a net: pin `pin` of instance `instance`.
+struct PinUse {
+  int instance = 0;
+  int pin = 0;
+};
+
+/// Net → uses index of a module in compressed (CSR) form, built in one pass
+/// over every instance pin. A net's sink pins are listed in (instance, pin)
+/// order, so an instance with the net on several pins appears once per pin.
+/// Primary-output uses are counted separately. The index is a snapshot: it
+/// does not follow later edits of the module.
+class Fanout {
+ public:
+  explicit Fanout(const Module& module);
+
+  /// Input pins reading `net`, in (instance, pin) order.
+  [[nodiscard]] std::span<const PinUse> sinks(NetId net) const {
+    const auto n = static_cast<std::size_t>(net);
+    return {uses_.data() + offset_[n], uses_.data() + offset_[n + 1]};
+  }
+  /// Times `net` is listed as a primary output.
+  [[nodiscard]] int po_uses(NetId net) const { return po_uses_[static_cast<std::size_t>(net)]; }
+  /// Sink pins plus primary-output uses.
+  [[nodiscard]] int count(NetId net) const {
+    return static_cast<int>(sinks(net).size()) + po_uses(net);
+  }
+
+ private:
+  std::vector<int> offset_;  ///< per net + 1: start of its uses in `uses_`
+  std::vector<PinUse> uses_;
+  std::vector<int> po_uses_;
 };
 
 }  // namespace rw::netlist

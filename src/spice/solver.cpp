@@ -182,7 +182,8 @@ class NewtonDriver {
       }
 
       if (fmax < options_.tol_i_ma && step_max < options_.tol_v) return true;
-      if (std::getenv("RW_SPICE_DEBUG") != nullptr && iter > max_iterations - 6) {
+      // Iteration count first: getenv must stay off the per-iteration path.
+      if (iter > max_iterations - 6 && std::getenv("RW_SPICE_DEBUG") != nullptr) {
         std::fprintf(stderr, "newton iter %d: fmax=%.3e step=%.3e x0=%.4f\n", iter, fmax,
                      step_max, x.empty() ? 0.0 : x[0]);
       }

@@ -1,29 +1,22 @@
 #include "sta/graph.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace rw::sta {
 
 Adjacency Adjacency::build(const netlist::Module& module, const liberty::Library& library) {
-  Adjacency adj;
+  Adjacency adj{netlist::Fanout(module), {}, {}};
   const auto n_nets = static_cast<std::size_t>(module.net_count());
   const auto& instances = module.instances();
-  adj.net_sinks.assign(n_nets, {});
   adj.is_flop.assign(instances.size(), false);
-
-  std::vector<int> pending(instances.size(), 0);  // un-arrived fanins per comb instance
   for (std::size_t i = 0; i < instances.size(); ++i) {
-    const auto& inst = instances[i];
-    adj.is_flop[i] = library.at(inst.cell).is_flop;
-    for (netlist::NetId f : inst.fanin) {
-      adj.net_sinks[static_cast<std::size_t>(f)].push_back(static_cast<int>(i));
-    }
+    adj.is_flop[i] = library.at(instances[i].cell).is_flop;
   }
 
   // Kahn levelization over combinational instances. A net is "ready" when it
   // is a PI, a flop output, or its combinational driver has been ordered.
   std::vector<bool> net_ready(n_nets, false);
+  std::vector<int> pending(instances.size(), 0);  // un-arrived fanin pins per comb instance
   for (netlist::NetId n = 0; n < module.net_count(); ++n) {
     const int drv = module.driver(n);
     if (drv == -1 || adj.is_flop[static_cast<std::size_t>(drv)]) {
@@ -47,14 +40,10 @@ Adjacency Adjacency::build(const netlist::Module& module, const liberty::Library
     adj.comb_topo.push_back(i);
     const netlist::NetId out = instances[static_cast<std::size_t>(i)].out;
     net_ready[static_cast<std::size_t>(out)] = true;
-    for (const int sink : adj.net_sinks[static_cast<std::size_t>(out)]) {
-      if (adj.is_flop[static_cast<std::size_t>(sink)]) continue;
-      // A sink may reference the net on several pins; decrement per pin.
-      const auto& fanin = instances[static_cast<std::size_t>(sink)].fanin;
-      const auto uses =
-          static_cast<int>(std::count(fanin.begin(), fanin.end(), out));
-      pending[static_cast<std::size_t>(sink)] -= uses;
-      if (pending[static_cast<std::size_t>(sink)] == 0) queue.push_back(sink);
+    for (const netlist::PinUse use : adj.fanout.sinks(out)) {
+      const auto sink = static_cast<std::size_t>(use.instance);
+      if (adj.is_flop[sink]) continue;
+      if (--pending[sink] == 0) queue.push_back(use.instance);
     }
   }
 
@@ -71,25 +60,12 @@ Adjacency Adjacency::build(const netlist::Module& module, const liberty::Library
 double net_load_ff(const netlist::Module& module, const liberty::Library& library,
                    const StaOptions& options, const Adjacency& adj, netlist::NetId net) {
   double load = 0.0;
-  int fanout = 0;
-  for (const int sink : adj.net_sinks[static_cast<std::size_t>(net)]) {
-    const auto& inst = module.instances()[static_cast<std::size_t>(sink)];
-    const liberty::Cell& cell = library.at(inst.cell);
-    const auto input_pins = cell.input_pins();
-    for (std::size_t p = 0; p < inst.fanin.size(); ++p) {
-      if (inst.fanin[p] == net) {
-        load += input_pins[p]->cap_ff;
-        ++fanout;
-      }
-    }
+  for (const netlist::PinUse use : adj.fanout.sinks(net)) {
+    const auto& inst = module.instances()[static_cast<std::size_t>(use.instance)];
+    load += library.at(inst.cell).input_pins()[static_cast<std::size_t>(use.pin)]->cap_ff;
   }
-  for (netlist::NetId po : module.outputs()) {
-    if (po == net) {
-      load += options.po_load_ff;
-      ++fanout;
-    }
-  }
-  load += options.wire_cap_per_fanout_ff * fanout;
+  for (int k = 0; k < adj.fanout.po_uses(net); ++k) load += options.po_load_ff;
+  load += options.wire_cap_per_fanout_ff * adj.fanout.count(net);
   return load;
 }
 

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file graph.hpp
-/// Structural helpers for timing analysis: sink adjacency, combinational
+/// Structural helpers for timing analysis: the fanout index, combinational
 /// levelization (flops cut the graph), and the net load model (pin caps +
 /// fanout-proportional wire capacitance).
 
@@ -18,12 +18,12 @@ struct StaOptions {
   double wire_cap_per_fanout_ff = 0.15;  ///< crude wire-load model
 };
 
-/// Precomputed adjacency and topological order of combinational instances.
-/// \throws std::runtime_error on a combinational loop.
+/// Precomputed fanout index and topological order of combinational
+/// instances. \throws std::runtime_error on a combinational loop.
 struct Adjacency {
-  std::vector<std::vector<int>> net_sinks;  ///< per net: sink instance indices
-  std::vector<int> comb_topo;               ///< combinational instances, topo order
-  std::vector<bool> is_flop;                ///< per instance
+  netlist::Fanout fanout;     ///< per net: sink pins and primary-output uses
+  std::vector<int> comb_topo;  ///< combinational instances, topo order
+  std::vector<bool> is_flop;   ///< per instance
 
   static Adjacency build(const netlist::Module& module, const liberty::Library& library);
 };

@@ -134,47 +134,38 @@ void IntervalSta::compute_loads() {
   // Mirrors sta::net_load_ff term by term (and in the same accumulation
   // order, so a single-corner run collapses to the scalar loads bitwise);
   // each sink pin cap becomes the [min, max] over the sink's corner cells.
-  const auto& instances = module_.instances();
   load_ff_.assign(static_cast<std::size_t>(module_.net_count()), stress::RealInterval{});
   for (netlist::NetId net = 0; net < module_.net_count(); ++net) {
     stress::RealInterval load{0.0, 0.0};
-    int fanout = 0;
-    for (const int sink : adj_.net_sinks[static_cast<std::size_t>(net)]) {
-      const auto& inst = instances[static_cast<std::size_t>(sink)];
-      const charlib::InstanceCorners& ic = corners_[static_cast<std::size_t>(sink)];
-      const auto fresh_pins = ic.fresh->input_pins();
-      for (std::size_t p = 0; p < inst.fanin.size(); ++p) {
-        if (inst.fanin[p] != net) continue;
-        double cap_lo = 0.0;
-        double cap_hi = 0.0;
-        bool first = true;
-        for (const liberty::Cell* cell : ic.corners) {
-          const double cap = cell->input_pins()[p]->cap_ff;
-          if (first) {
-            cap_lo = cap;
-            cap_hi = cap;
-            first = false;
-          } else {
-            cap_lo = std::min(cap_lo, cap);
-            cap_hi = std::max(cap_hi, cap);
-          }
+    for (const netlist::PinUse use : adj_.fanout.sinks(net)) {
+      const auto p = static_cast<std::size_t>(use.pin);
+      const charlib::InstanceCorners& ic = corners_[static_cast<std::size_t>(use.instance)];
+      double cap_lo = 0.0;
+      double cap_hi = 0.0;
+      bool first = true;
+      for (const liberty::Cell* cell : ic.corners) {
+        const double cap = cell->input_pins()[p]->cap_ff;
+        if (first) {
+          cap_lo = cap;
+          cap_hi = cap;
+          first = false;
+        } else {
+          cap_lo = std::min(cap_lo, cap);
+          cap_hi = std::max(cap_hi, cap);
         }
-        if (first) {  // vacuous instance: fresh pin cap as proxy
-          cap_lo = fresh_pins[p]->cap_ff;
-          cap_hi = cap_lo;
-        }
-        load.lo += cap_lo;
-        load.hi += cap_hi;
-        ++fanout;
       }
-    }
-    for (netlist::NetId po : module_.outputs()) {
-      if (po == net) {
-        load.lo += options_.po_load_ff;
-        load.hi += options_.po_load_ff;
-        ++fanout;
+      if (first) {  // vacuous instance: fresh pin cap as proxy
+        cap_lo = ic.fresh->input_pins()[p]->cap_ff;
+        cap_hi = cap_lo;
       }
+      load.lo += cap_lo;
+      load.hi += cap_hi;
     }
+    for (int k = 0; k < adj_.fanout.po_uses(net); ++k) {
+      load.lo += options_.po_load_ff;
+      load.hi += options_.po_load_ff;
+    }
+    const int fanout = adj_.fanout.count(net);
     load.lo += options_.wire_cap_per_fanout_ff * fanout;
     load.hi += options_.wire_cap_per_fanout_ff * fanout;
     load_ff_[static_cast<std::size_t>(net)] = load;

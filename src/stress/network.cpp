@@ -96,6 +96,10 @@ NetworkModel NetworkModel::build(const netlist::Module& module,
       comb_driver[static_cast<std::size_t>(instances[i].out)] = static_cast<int>(i);
     }
   }
+  // In-degree counts fanin *pins* and each sink pin decrements it once, so
+  // an instance with one net on several pins is released exactly when that
+  // net's driver is ordered.
+  const netlist::Fanout fanout(module);
   std::vector<int> level(n_inst, 0);
   std::vector<int> indeg(n_inst, 0);
   std::size_t comb_count = 0;
@@ -118,8 +122,8 @@ NetworkModel NetworkModel::build(const netlist::Module& module,
     if (static_cast<std::size_t>(lv) >= model.levels_.size()) model.levels_.resize(lv + 1);
     model.levels_[static_cast<std::size_t>(lv)].push_back(i);
     if (instances[i].out == netlist::kNoNet) continue;
-    for (int s : module.sinks(instances[i].out)) {
-      const auto si = static_cast<std::size_t>(s);
+    for (const netlist::PinUse use : fanout.sinks(instances[i].out)) {
+      const auto si = static_cast<std::size_t>(use.instance);
       if (model.nodes_[si].is_flop) continue;
       level[si] = std::max(level[si], lv + 1);
       if (--indeg[si] == 0) ready.push_back(si);

@@ -1,28 +1,11 @@
 #include "synth/buffering.hpp"
 
+#include <algorithm>
+#include <span>
 #include <stdexcept>
-#include <utility>
-#include <vector>
+#include <string>
 
 namespace rw::synth {
-
-namespace {
-
-/// One sink pin position: (instance index, pin index).
-using SinkPin = std::pair<std::size_t, std::size_t>;
-
-std::vector<SinkPin> collect_sinks(const netlist::Module& module, netlist::NetId net) {
-  std::vector<SinkPin> sinks;
-  for (std::size_t i = 0; i < module.instances().size(); ++i) {
-    const auto& fanin = module.instances()[i].fanin;
-    for (std::size_t p = 0; p < fanin.size(); ++p) {
-      if (fanin[p] == net) sinks.emplace_back(i, p);
-    }
-  }
-  return sinks;
-}
-
-}  // namespace
 
 const liberty::Cell* find_buffer_cell(const liberty::Library& library,
                                       const std::string& preferred) {
@@ -45,16 +28,21 @@ int buffer_high_fanout(netlist::Module& module, const liberty::Library& library,
   int inserted = 0;
   int counter = 0;
   // Iterate to a fixed point: buffer outputs can themselves exceed the
-  // limit when a net is split into many groups.
+  // limit when a net is split into many groups. Each pass indexes the nets
+  // that exist when it starts. Splitting a net rewires only that net's sink
+  // pins to new buffer nets, so the index stays exact for the nets still
+  // ahead in the pass. A new buffer net has at most max_fanout sinks and no
+  // primary-output use, so a pass need not revisit it.
   bool changed = true;
   while (changed) {
     changed = false;
-    for (netlist::NetId net = 0; net < module.net_count(); ++net) {
+    const netlist::Fanout fanout(module);
+    const netlist::NetId pass_nets = module.net_count();
+    for (netlist::NetId net = 0; net < pass_nets; ++net) {
       if (net == module.clock()) continue;
-      auto sinks = collect_sinks(module, net);
+      const std::span<const netlist::PinUse> sinks = fanout.sinks(net);
       // Primary-output uses stay on the net and count against the limit.
-      const auto po_uses =
-          static_cast<std::size_t>(module.fanout_count(net)) - sinks.size();
+      const auto po_uses = static_cast<std::size_t>(fanout.po_uses(net));
       if (sinks.size() + po_uses <= static_cast<std::size_t>(options.max_fanout)) continue;
 
       // Keep some sinks on the original net and hand the rest to buffers in
@@ -77,7 +65,8 @@ int buffer_high_fanout(netlist::Module& module, const liberty::Library& library,
         const std::size_t end =
             std::min(sinks.size(), cursor + static_cast<std::size_t>(options.max_fanout));
         for (std::size_t s = cursor; s < end; ++s) {
-          module.instances()[sinks[s].first].fanin[sinks[s].second] = buffered;
+          module.instances()[static_cast<std::size_t>(sinks[s].instance)]
+              .fanin[static_cast<std::size_t>(sinks[s].pin)] = buffered;
         }
         cursor = end;
       }

@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "charlib/factory.hpp"
+#include "circuits/benchmarks.hpp"
 #include "netlist/annotate.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/sdf.hpp"
 #include "netlist/verilog.hpp"
 #include "sta/analysis.hpp"
+#include "synth/synthesizer.hpp"
 
 namespace rw::netlist {
 namespace {
@@ -46,8 +52,9 @@ TEST(Module, StructureQueries) {
   const NetId a = m.find_net("a");
   EXPECT_EQ(m.driver(a), -1);
   // a feeds the NAND and the AND.
-  EXPECT_EQ(m.sinks(a).size(), 2u);
-  EXPECT_EQ(m.fanout_count(a), 2);
+  const Fanout fanout(m);
+  EXPECT_EQ(fanout.sinks(a).size(), 2u);
+  EXPECT_EQ(fanout.count(a), 2);
   m.validate();
 }
 
@@ -77,6 +84,76 @@ TEST(Module, RenameNet) {
   EXPECT_EQ(m.find_net("better"), x);
   const NetId y = m.add_net("y");
   EXPECT_THROW(m.rename_net(y, "better"), std::invalid_argument);
+}
+
+/// Compares the fanout index with a brute-force scan of every instance pin
+/// and primary output, net by net.
+void expect_fanout_matches_scan(const Module& m) {
+  const Fanout fanout(m);
+  for (NetId n = 0; n < m.net_count(); ++n) {
+    std::vector<std::pair<int, int>> want;
+    for (std::size_t i = 0; i < m.instances().size(); ++i) {
+      const auto& fanin = m.instances()[i].fanin;
+      for (std::size_t p = 0; p < fanin.size(); ++p) {
+        if (fanin[p] == n) want.emplace_back(static_cast<int>(i), static_cast<int>(p));
+      }
+    }
+    std::vector<std::pair<int, int>> got;
+    for (const PinUse use : fanout.sinks(n)) got.emplace_back(use.instance, use.pin);
+    EXPECT_EQ(got, want) << m.net_name(n);
+    const auto po = static_cast<int>(std::count(m.outputs().begin(), m.outputs().end(), n));
+    EXPECT_EQ(fanout.po_uses(n), po) << m.net_name(n);
+    EXPECT_EQ(fanout.count(n), static_cast<int>(want.size()) + po) << m.net_name(n);
+  }
+}
+
+TEST(Fanout, MatchesABruteForceScanOnASynthesizedBenchmark) {
+  synth::SynthesisOptions opt;
+  opt.multi_start = false;
+  opt.enable_sizing = false;
+  const Module m = synth::synthesize(circuits::make_risc5(), lib(), "risc5", opt).module;
+  ASSERT_GT(m.instances().size(), 1000u);
+  expect_fanout_matches_scan(m);
+}
+
+TEST(Fanout, EdgeCases) {
+  Module m("edge");
+  const NetId a = m.add_net("a");
+  const NetId b = m.add_net("b");
+  const NetId y = m.add_net("y");
+  const NetId pass = m.add_net("pass");
+  const NetId undriven = m.add_net("u");
+  const NetId z = m.add_net("z");
+  const NetId dangling = m.add_net("d");
+  m.mark_input(a);
+  m.mark_input(pass);
+  m.add_instance("inv", "INV_X1", {a}, b);
+  m.add_instance("nand", "NAND2_X1", {b, b}, y);  // one net on both pins
+  m.add_instance("and", "AND2_X1", {undriven, a}, z);
+  m.add_instance_lenient("open", "INV_X1", {a}, kNoNet);  // no output net
+  m.mark_output(y);     // read only as a primary output
+  m.mark_output(pass);  // input wired straight to an output
+  m.mark_output(z);
+  expect_fanout_matches_scan(m);
+
+  const Fanout fanout(m);
+  ASSERT_EQ(fanout.sinks(b).size(), 2u);
+  EXPECT_EQ(fanout.sinks(b)[0].pin, 0);
+  EXPECT_EQ(fanout.sinks(b)[1].pin, 1);
+  EXPECT_EQ(fanout.count(b), 2);
+  EXPECT_TRUE(fanout.sinks(y).empty());
+  EXPECT_EQ(fanout.count(y), 1);
+  EXPECT_EQ(fanout.count(pass), 1);
+  EXPECT_EQ(fanout.sinks(undriven).size(), 1u);
+  EXPECT_EQ(fanout.count(dangling), 0);
+  // a feeds inv, and, and the output-less instance.
+  EXPECT_EQ(fanout.count(a), 3);
+
+  // check() flags the undriven used net and the missing output, but not the
+  // dangling net nor the PO-only one.
+  std::vector<std::string> found;
+  for (const auto& d : m.check()) found.push_back(d.rule_id + " " + d.location);
+  EXPECT_EQ(found, (std::vector<std::string>{"NL002 edge:net u", "NL006 edge:inst open"}));
 }
 
 TEST(Verilog, RoundTrip) {

@@ -3,10 +3,14 @@
 /// the factory's run manifest (checkpoint/resume) and quarantine, all driven
 /// deterministically by spice::FaultInjector.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -394,6 +398,101 @@ TEST_F(ResilienceTest, FallbackMarkersSurviveMergedAndResumeBitIdentically) {
   EXPECT_EQ(variant->fallbacks, expected);
   EXPECT_EQ(merged_again.find("NAND2_X1_0.40_0.60"), nullptr);
   EXPECT_EQ(injector().injected_failures(), 0u);
+  std::filesystem::remove_all(dir);
+}
+
+/// Bytes and nanosecond mtime of a file, to tell "untouched" from "rewritten
+/// with the same content".
+struct FileSnapshot {
+  std::string bytes;
+  long long mtime_ns = 0;
+  bool operator==(const FileSnapshot&) const = default;
+};
+
+FileSnapshot snapshot(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  struct stat st {};
+  if (::stat(path.c_str(), &st) != 0) return {};
+  return FileSnapshot{ss.str(), st.st_mtim.tv_sec * 1000000000LL + st.st_mtim.tv_nsec};
+}
+
+TEST_F(ResilienceTest, LibraryCheckpointsEveryCharacterizedPairAndWarmReadsWriteNothing) {
+  const std::string dir = std::filesystem::temp_directory_path() / "rw_resilience_manifest";
+  std::filesystem::remove_all(dir);
+  charlib::LibraryFactory::Options opts;
+  opts.characterize.grid = charlib::OpcGrid::single(60.0, 4.0);
+  opts.cache_dir = dir;
+  opts.cell_subset = {"INV_X1", "NAND2_X1", "NOR2_X1"};
+  const auto fresh = aging::AgingScenario::fresh();
+  const auto aged = aging::AgingScenario::worst_case(10);
+
+  // A campaign characterizes K = 3 pairs through one library() batch: the
+  // checkpoint lists all of them as done. A quarantine it records for a
+  // pair this test never asks for stands in for the rest of its state.
+  std::string manifest_path;
+  {
+    charlib::LibraryFactory campaign(opts);
+    (void)campaign.library(fresh);
+    manifest_path = campaign.manifest_path();
+    const auto manifest = charlib::RunManifest::load(manifest_path);
+    ASSERT_EQ(manifest.size(), opts.cell_subset.size());
+    for (const auto& name : opts.cell_subset) {
+      const auto* e = manifest.find(fresh.id(), name);
+      ASSERT_NE(e, nullptr) << name;
+      EXPECT_EQ(e->status, "done") << name;
+    }
+    (void)campaign.library(aged);
+    campaign.quarantine_pair("other", "XOR2_X1", "campaign failure");
+  }
+  ASSERT_EQ(charlib::RunManifest::load(manifest_path).size(), 2 * opts.cell_subset.size() + 1);
+
+  // Backdate the file, so any rewrite shows up in its mtime even when the
+  // bytes come out the same.
+  const struct timespec past[2] = {{1000000000, 0}, {1000000000, 0}};
+  ASSERT_EQ(::utimensat(AT_FDCWD, manifest_path.c_str(), past, 0), 0);
+  const FileSnapshot before = snapshot(manifest_path);
+
+  // Warm reads over the populated cache: library(), merged() and cell() are
+  // all disk hits, so none of them may touch the campaign's checkpoint (a
+  // rewrite from a fresh factory would also drop the campaign's entries).
+  // Any SPICE solve would now fail, so none runs unnoticed.
+  injector().arm_fail_matching("cell=");
+  {
+    charlib::LibraryFactory warm(opts);
+    (void)warm.library(fresh);
+    (void)warm.merged({fresh, aged});
+    (void)warm.cell("NOR2_X1", aged);
+  }
+  EXPECT_EQ(snapshot(manifest_path), before);
+  EXPECT_EQ(injector().observed_solves(), 0u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(ResilienceTest, QuarantineIsOnDiskWhenCellThrows) {
+  const std::string dir = std::filesystem::temp_directory_path() / "rw_resilience_quarantine";
+  std::filesystem::remove_all(dir);
+  charlib::LibraryFactory::Options opts;
+  opts.characterize.grid = charlib::OpcGrid::single(60.0, 4.0);
+  opts.cache_dir = dir;
+  opts.cell_subset = {"NAND2_X1"};
+  charlib::LibraryFactory factory(opts);
+  const auto fresh = aging::AgingScenario::fresh();
+
+  injector().arm_fail_matching("cell=NAND2_X1");
+  try {
+    (void)factory.cell("NAND2_X1", fresh);
+    FAIL() << "failing cell did not throw";
+  } catch (const charlib::CharError&) {
+    // The checkpoint is written before the failure reaches the caller, so a
+    // process killed right here still resumes with the pair quarantined.
+    const auto manifest = charlib::RunManifest::load(factory.manifest_path());
+    const auto* e = manifest.find(fresh.id(), "NAND2_X1");
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(e->status, "failed");
+    EXPECT_NE(e->error.find("retry ladder exhausted"), std::string::npos);
+  }
   std::filesystem::remove_all(dir);
 }
 

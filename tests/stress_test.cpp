@@ -15,6 +15,8 @@
 #include "logicsim/activity.hpp"
 #include "logicsim/simulator.hpp"
 #include "netlist/builder.hpp"
+#include "sta/analysis.hpp"
+#include "stress/activity_bounds.hpp"
 #include "stress/analyzer.hpp"
 #include "stress/interval.hpp"
 #include "stress/stacks.hpp"
@@ -116,6 +118,35 @@ TEST(Analyzer, ReconvergenceWidensSoundly) {
   EXPECT_NE(r.net_widened[static_cast<std::size_t>(y)], 0);
   EXPECT_TRUE(r.instances[1].widened);
   EXPECT_EQ(r.widened_net_count(), 1u);
+}
+
+TEST(Analyzer, ANetOnTwoPinsOfOneGateIsNotACycle) {
+  // Levelization once counted in-degree per fanin pin but released a sink
+  // once per instance, so NAND2(b, b) never became ready and both analyses
+  // reported a combinational cycle that STA does not see.
+  netlist::Module m("dup_pins");
+  const auto a = m.add_net("a");
+  m.mark_input(a);
+  netlist::NetlistBuilder b(m, lib());
+  const auto n1 = b.gate("INV_X1", {a});
+  const auto y = b.gate("NAND2_X1", {n1, n1});
+  m.mark_output(y);
+  EXPECT_GT(sta::Sta(m, lib()).critical_delay_ps(), 0.0);
+
+  AnalyzeOptions options;
+  options.input_intervals["a"] = Interval::point(0.25);
+  const StressReport r = analyze(m, lib(), options);
+  EXPECT_TRUE(r.converged);
+  // y = NAND(¬a, ¬a) = a, so P(y) = 0.25 must lie inside the bound.
+  EXPECT_TRUE(r.net[static_cast<std::size_t>(y)].contains(0.25))
+      << r.net[static_cast<std::size_t>(y)].str();
+
+  ActivityOptions activity;
+  activity.probability = options;
+  activity.input_densities["a"] = Interval::point(0.2);
+  const ActivityReport ar = analyze_activity(m, lib(), activity);
+  EXPECT_TRUE(ar.density[static_cast<std::size_t>(y)].contains(0.2))
+      << ar.density[static_cast<std::size_t>(y)].str();
 }
 
 TEST(Analyzer, SequentialConstantReachesFixpoint) {

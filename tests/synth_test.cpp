@@ -244,10 +244,11 @@ TEST(Buffering, SplitsHighFanout) {
   opt.enable_sizing = false;
   opt.buffering.max_fanout = 8;
   const SynthesisResult res = synthesize(ir, lib(), "fan", opt);
+  const netlist::Fanout fanout(res.module);
   int max_fanout = 0;
   for (netlist::NetId n = 0; n < res.module.net_count(); ++n) {
     if (n == res.module.clock()) continue;
-    max_fanout = std::max(max_fanout, res.module.fanout_count(n));
+    max_fanout = std::max(max_fanout, fanout.count(n));
   }
   EXPECT_LE(max_fanout, 8);
 }
