@@ -110,6 +110,15 @@ echo "== activity: switching-activity bounds suite in the plain tree =="
 # explicitly so a filtered ctest invocation cannot drop the gate.
 ctest --test-dir "$BUILD_DIR" -L activity --output-on-failure -j "$JOBS"
 
+echo "== JSON codec + line reader under AddressSanitizer =="
+# util_test feeds every JSON reader (charlib and flow manifests, serve
+# frames, spool records, run reports) truncated and byte-flipped copies of
+# its writer's output; ASan turns any out-of-bounds read into a failure.
+ASAN_DIR="${BUILD_DIR}-asan"
+cmake -B "$ASAN_DIR" -S . -DRW_SANITIZE=address
+cmake --build "$ASAN_DIR" -j "$JOBS" --target util_test
+"$ASAN_DIR/tests/util_test"
+
 echo "== resilience + stress + chaos suites under ThreadSanitizer =="
 # The fault-injection paths (injector arming, in-flight dedup failure
 # propagation, manifest writes), the stress analyzer's levelized parallel

@@ -1,162 +1,39 @@
 #include "charlib/manifest.hpp"
 
-#include <cctype>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-#include <stdexcept>
-
 #include "util/atomic_file.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace rw::charlib {
-
-namespace fs = std::filesystem;
-
-namespace {
-
-/// Minimal parser for the JSON subset the manifest writer emits: objects,
-/// arrays, strings with standard escapes, and integers. Anything malformed
-/// throws; `RunManifest::load` turns that into an empty manifest.
-class JsonScanner {
- public:
-  explicit JsonScanner(const std::string& text) : text_(text) {}
-
-  void expect(char c) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      throw std::runtime_error(std::string("manifest: expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  [[nodiscard]] char peek() {
-    skip_ws();
-    return pos_ < text_.size() ? text_[pos_] : '\0';
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) {
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) throw std::runtime_error("manifest: bad \\u escape");
-            const unsigned code =
-                static_cast<unsigned>(std::strtoul(text_.substr(pos_, 4).c_str(), nullptr, 16));
-            pos_ += 4;
-            c = static_cast<char>(code);  // writer only emits \u00XX
-            break;
-          }
-          default: c = esc; break;  // \" \\ \/
-        }
-      }
-      out += c;
-    }
-    expect('"');
-    return out;
-  }
-
-  long parse_integer() {
-    skip_ws();
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-    if (pos_ == start) throw std::runtime_error("manifest: expected integer");
-    return std::strtol(text_.substr(start, pos_ - start).c_str(), nullptr, 10);
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-ManifestEntry parse_entry(JsonScanner& s) {
-  ManifestEntry e;
-  s.expect('{');
-  if (!s.consume('}')) {
-    do {
-      const std::string key = s.parse_string();
-      s.expect(':');
-      if (key == "fallbacks") {
-        e.fallbacks = static_cast<int>(s.parse_integer());
-      } else {
-        const std::string value = s.parse_string();
-        if (key == "scenario") {
-          e.scenario = value;
-        } else if (key == "cell") {
-          e.cell = value;
-        } else if (key == "status") {
-          e.status = value;
-        } else if (key == "error") {
-          e.error = value;
-        }
-        // Unknown string keys are skipped for forward compatibility.
-      }
-    } while (s.consume(','));
-    s.expect('}');
-  }
-  if (e.scenario.empty() || e.cell.empty() || (e.status != "done" && e.status != "failed")) {
-    throw std::runtime_error("manifest: incomplete entry");
-  }
-  return e;
-}
-
-}  // namespace
 
 RunManifest::RunManifest(std::string path) : path_(std::move(path)) {}
 
 RunManifest RunManifest::load(const std::string& path) {
   RunManifest m(path);
-  std::ifstream in(path);
-  if (!in) return m;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const std::string text = ss.str();
-  try {
-    JsonScanner s(text);
-    s.expect('{');
-    const std::string key = s.parse_string();
-    if (key != "entries") throw std::runtime_error("manifest: expected \"entries\"");
-    s.expect(':');
-    s.expect('[');
-    if (s.peek() != ']') {
-      do {
-        ManifestEntry e = parse_entry(s);
-        const auto k = std::make_pair(e.scenario, e.cell);
-        m.entries_[k] = std::move(e);
-      } while (s.consume(','));
+  const auto read_entry = [&m](util::json::Reader& r) {
+    ManifestEntry e;
+    const bool ok = r.object([&e](util::json::Reader& r, std::string_view key) {
+      if (key == "scenario") return r.string(e.scenario);
+      if (key == "cell") return r.string(e.cell);
+      if (key == "status") return r.string(e.status);
+      if (key == "fallbacks") return r.integer(e.fallbacks);
+      if (key == "error") return r.string(e.error);
+      return r.skip();
+    });
+    if (!ok || e.scenario.empty() || e.cell.empty() ||
+        (e.status != "done" && e.status != "failed")) {
+      return false;
     }
-    s.expect(']');
-    s.expect('}');
-  } catch (const std::exception&) {
-    // Corrupt checkpoint (crash mid-write before atomic renames, manual
-    // edit): start over rather than refusing to run.
+    auto key = std::make_pair(e.scenario, e.cell);
+    m.entries_[std::move(key)] = std::move(e);
+    return true;
+  };
+  std::string error;
+  if (!util::json::parse_object_file(path, error, [&](util::json::Reader& r, std::string_view key) {
+        return key == "entries" ? r.array(read_entry) : r.skip();
+      })) {
+    // Missing or corrupt checkpoint (crash mid-write before atomic renames,
+    // manual edit): start over rather than refusing to run.
     m.entries_.clear();
   }
   return m;

@@ -22,6 +22,7 @@
 #include "spice/solver.hpp"
 #include "util/atomic_file.hpp"
 #include "util/io.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/thread_pool.hpp"
@@ -53,16 +54,21 @@ struct TrialHygiene {
   }
 };
 
-/// True when the run report at `path` exists and looks like a sealed
-/// RunReport (the crash-only contract for in-process failures).
+/// True when the run report at `path` parses as a sealed RunReport with
+/// string `flow` and `status` members (the crash-only contract for
+/// in-process failures).
 bool structured_report_exists(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream os;
-  os << in.rdbuf();
-  const std::string text = os.str();
-  return text.find("\"flow\"") != std::string::npos &&
-         text.find("\"status\"") != std::string::npos;
+  bool has_flow = false;
+  bool has_status = false;
+  std::string value;
+  std::string error;
+  const bool parsed = util::json::parse_object_file(
+      path, error, [&](util::json::Reader& r, std::string_view key) {
+        if (key == "flow") return has_flow = r.string(value);
+        if (key == "status") return has_status = r.string(value);
+        return r.skip();
+      });
+  return parsed && has_flow && has_status;
 }
 
 /// Structural sanity for fault-injected completions (a different retry

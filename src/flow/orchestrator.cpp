@@ -1,15 +1,12 @@
 #include "flow/orchestrator.hpp"
 
-#include <cctype>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
-#include <stdexcept>
 
 #include "util/atomic_file.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace rw::flow {
@@ -20,146 +17,32 @@ namespace {
 
 constexpr const char* kManifestFile = "flow_manifest.json";
 
-/// Minimal parser for the JSON subset the manifest writer emits (objects,
-/// arrays, strings, numbers). Malformed input throws; callers turn that into
-/// "start fresh" (resume) or an FL001 diagnostic (lint).
-class JsonScanner {
- public:
-  explicit JsonScanner(const std::string& text) : text_(text) {}
-
-  void expect(char c) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      throw std::runtime_error(std::string("flow manifest: expected '") + c + "'");
+/// Reads flow_manifest.json. False with `error` set when it is unreadable
+/// or malformed; callers start fresh (resume) or report FL001 (lint).
+bool read_manifest(const std::string& path, std::string& flow, std::vector<ManifestStage>& stages,
+                   std::string& error) {
+  const auto read_stage = [&stages](util::json::Reader& r) {
+    ManifestStage st;
+    if (!r.object([&st](util::json::Reader& r, std::string_view key) {
+          if (key == "index") return r.integer(st.index);
+          if (key == "name") return r.string(st.name);
+          if (key == "status") return r.string(st.status);
+          if (key == "artifact") return r.string(st.artifact);
+          if (key == "bytes") return r.integer(st.bytes);
+          if (key == "wall_ms") return r.number(st.wall_ms);
+          return r.skip();
+        })) {
+      return false;
     }
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  char peek() {
-    skip_ws();
-    return pos_ < text_.size() ? text_[pos_] : '\0';
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) {
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) throw std::runtime_error("flow manifest: bad \\u");
-            c = static_cast<char>(std::strtol(text_.substr(pos_, 4).c_str(), nullptr, 16));
-            pos_ += 4;
-            break;
-          }
-          default: c = esc; break;
-        }
-      }
-      out += c;
-    }
-    expect('"');
-    return out;
-  }
-
-  double parse_number() {
-    skip_ws();
-    const char* start = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end == start) throw std::runtime_error("flow manifest: expected number");
-    pos_ += static_cast<std::size_t>(end - start);
-    return v;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read " + path);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
-struct ParsedManifest {
-  std::string flow;
-  std::vector<std::tuple<int, std::string, std::string, std::string, std::size_t, double>> stages;
-};
-
-/// \throws std::runtime_error on any malformed content.
-ParsedManifest parse_manifest_text(const std::string& text) {
-  ParsedManifest m;
-  JsonScanner s(text);
-  s.expect('{');
-  do {
-    const std::string key = s.parse_string();
-    s.expect(':');
-    if (key == "flow") {
-      m.flow = s.parse_string();
-    } else if (key == "stages") {
-      s.expect('[');
-      if (s.peek() != ']') {
-        do {
-          s.expect('{');
-          int index = -1;
-          std::string name;
-          std::string status;
-          std::string artifact;
-          std::size_t bytes = 0;
-          double wall_ms = 0.0;
-          do {
-            const std::string field = s.parse_string();
-            s.expect(':');
-            if (field == "index") {
-              index = static_cast<int>(s.parse_number());
-            } else if (field == "name") {
-              name = s.parse_string();
-            } else if (field == "status") {
-              status = s.parse_string();
-            } else if (field == "artifact") {
-              artifact = s.parse_string();
-            } else if (field == "bytes") {
-              bytes = static_cast<std::size_t>(s.parse_number());
-            } else if (field == "wall_ms") {
-              wall_ms = s.parse_number();
-            } else {
-              throw std::runtime_error("flow manifest: unknown stage field " + field);
-            }
-          } while (s.consume(','));
-          s.expect('}');
-          m.stages.emplace_back(index, name, status, artifact, bytes, wall_ms);
-        } while (s.consume(','));
-      }
-      s.expect(']');
-    } else {
-      throw std::runtime_error("flow manifest: unknown field " + key);
-    }
-  } while (s.consume(','));
-  s.expect('}');
-  return m;
+    stages.push_back(std::move(st));
+    return true;
+  };
+  const auto member = [&](util::json::Reader& r, std::string_view key) {
+    if (key == "flow") return r.string(flow);
+    if (key == "stages") return r.array(read_stage);
+    return r.skip();
+  };
+  return util::json::parse_object_file(path, error, member);
 }
 
 }  // namespace
@@ -180,15 +63,12 @@ FlowOrchestrator::FlowOrchestrator(std::string flow_name, OrchestratorOptions op
     options_.report_path = options_.dir + "/run_report.json";
   }
   if (enabled() && options_.resume) {
-    try {
-      const ParsedManifest m = parse_manifest_text(read_file(options_.dir + "/" + kManifestFile));
-      if (m.flow == report_.flow) {
-        for (const auto& [index, name, status, artifact, bytes, wall_ms] : m.stages) {
-          manifest_.push_back(ManifestStage{index, name, status, artifact, bytes, wall_ms});
-        }
-      }
-    } catch (const std::exception&) {
-      // Missing or corrupt manifest: a fresh run, never a refusal to run.
+    std::string flow;
+    std::string error;
+    // Missing or corrupt manifest: a fresh run, never a refusal to run.
+    if (!read_manifest(options_.dir + "/" + kManifestFile, flow, manifest_, error) ||
+        flow != report_.flow) {
+      manifest_.clear();
     }
   }
 }
@@ -221,12 +101,7 @@ bool FlowOrchestrator::load_stage(int index, const std::string& name,
     const std::string path = options_.dir + "/" + artifact;
     std::error_code ec;
     if (!fs::exists(path, ec) || fs::file_size(path, ec) != s.bytes) return false;
-    try {
-      encoded = read_file(path);
-    } catch (const std::exception&) {
-      return false;
-    }
-    return encoded.size() == s.bytes;
+    return util::read_file(path, encoded) && encoded.size() == s.bytes;
   }
   return false;
 }
@@ -320,26 +195,25 @@ std::vector<lint::Diagnostic> lint_flow_manifest(const std::string& manifest_pat
     out.push_back(std::move(d));
   };
 
-  ParsedManifest m;
-  try {
-    m = parse_manifest_text(read_file(manifest_path));
-  } catch (const std::exception& e) {
-    warn(manifest_path, std::string("flow manifest is unreadable or malformed: ") + e.what());
+  std::string flow;
+  std::vector<ManifestStage> stages;
+  std::string error;
+  if (!read_manifest(manifest_path, flow, stages, error)) {
+    warn(manifest_path, "flow manifest is unreadable or malformed: " + error);
     return out;
   }
   const std::string dir = fs::path(manifest_path).parent_path().string();
-  for (const auto& [index, name, status, artifact, bytes, wall_ms] : m.stages) {
-    (void)wall_ms;
-    if (status != "done") continue;
-    const std::string path = dir.empty() ? artifact : dir + "/" + artifact;
+  for (const ManifestStage& s : stages) {
+    if (s.status != "done") continue;
+    const std::string path = dir.empty() ? s.artifact : dir + "/" + s.artifact;
     std::error_code ec;
     if (!fs::exists(path, ec)) {
-      warn(m.flow + ":" + name,
-           "stage " + std::to_string(index) + " artifact " + artifact + " is missing");
-    } else if (fs::file_size(path, ec) != bytes) {
-      warn(m.flow + ":" + name, "stage " + std::to_string(index) + " artifact " + artifact +
+      warn(flow + ":" + s.name,
+           "stage " + std::to_string(s.index) + " artifact " + s.artifact + " is missing");
+    } else if (fs::file_size(path, ec) != s.bytes) {
+      warn(flow + ":" + s.name, "stage " + std::to_string(s.index) + " artifact " + s.artifact +
                                     " is stale (size " + std::to_string(fs::file_size(path, ec)) +
-                                    ", manifest says " + std::to_string(bytes) + ")");
+                                    ", manifest says " + std::to_string(s.bytes) + ")");
     }
   }
   return out;

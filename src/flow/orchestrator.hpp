@@ -50,6 +50,16 @@ struct OrchestratorOptions {
   static OrchestratorOptions from_env();
 };
 
+/// One stage record of flow_manifest.json.
+struct ManifestStage {
+  int index = -1;  ///< -1 when the record has none: it matches no stage
+  std::string name;
+  std::string status;
+  std::string artifact;
+  std::size_t bytes = 0;
+  double wall_ms = 0.0;
+};
+
 /// One flow run. Stages are declared in order via `stage()`; the destructor
 /// (or an explicit `finish()`) seals the RunReport and writes it.
 class FlowOrchestrator {
@@ -130,15 +140,6 @@ class FlowOrchestrator {
                     const std::string& artifact, std::size_t bytes, const std::string& error);
   void record_exception(const std::string& name, double wall_ms);
   void save_manifest() const;
-
-  struct ManifestStage {
-    int index = 0;
-    std::string name;
-    std::string status;
-    std::string artifact;
-    std::size_t bytes = 0;
-    double wall_ms = 0.0;
-  };
 
   OrchestratorOptions options_;
   std::chrono::steady_clock::time_point start_;

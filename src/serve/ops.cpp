@@ -12,10 +12,13 @@
 #include "netlist/verilog.hpp"
 #include "sta/guardband.hpp"
 #include "util/io.hpp"
+#include "util/json.hpp"
 
 namespace rw::serve {
 
 namespace {
+
+using util::json::format_double;
 
 /// One unexceptional error chain: what() of each nested exception, joined.
 std::string error_chain(const std::exception& e) {

@@ -9,7 +9,7 @@
 /// durable side effect is cells published into the shared cache, which the
 /// next attempt reuses.
 ///
-/// Payloads are one-line JSON built with the protocol's format_double so a
+/// Payloads are one-line JSON built with util::json::format_double so a
 /// fleet trial can compare a served result bitwise against a direct
 /// in-process run of the same pipeline.
 

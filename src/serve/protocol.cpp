@@ -1,145 +1,14 @@
 #include "serve/protocol.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace rw::serve {
 
 namespace {
 
-/// Minimal scanner for one flat-ish JSON document (the same hand-rolled
-/// style as charlib/manifest.cpp — no JSON library in the toolchain, and
-/// the protocol only needs objects of scalars plus one array-of-pairs).
-class Scan {
- public:
-  explicit Scan(const std::string& text) : s_(text) {}
-
-  bool fail(std::string& error, const std::string& what) {
-    error = what + " at offset " + std::to_string(i_);
-    return false;
-  }
-
-  void ws() {
-    while (i_ < s_.size() && (s_[i_] == ' ' || s_[i_] == '\t' || s_[i_] == '\r')) ++i_;
-  }
-
-  bool consume(char c) {
-    ws();
-    if (i_ >= s_.size() || s_[i_] != c) return false;
-    ++i_;
-    return true;
-  }
-
-  char peek() {
-    ws();
-    return i_ < s_.size() ? s_[i_] : '\0';
-  }
-
-  bool at_end() {
-    ws();
-    return i_ >= s_.size();
-  }
-
-  bool parse_string(std::string& out) {
-    ws();
-    if (i_ >= s_.size() || s_[i_] != '"') return false;
-    ++i_;
-    out.clear();
-    while (i_ < s_.size()) {
-      const char c = s_[i_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (i_ >= s_.size()) return false;
-      const char esc = s_[i_++];
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'n': out.push_back('\n'); break;
-        case 't': out.push_back('\t'); break;
-        case 'r': out.push_back('\r'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'u': {
-          // The writers only emit \u00XX (control bytes); decode just that.
-          if (i_ + 4 > s_.size()) return false;
-          const std::string hex = s_.substr(i_, 4);
-          i_ += 4;
-          out.push_back(static_cast<char>(std::strtol(hex.c_str(), nullptr, 16)));
-          break;
-        }
-        default: return false;
-      }
-    }
-    return false;  // unterminated
-  }
-
-  bool parse_number(double& out) {
-    ws();
-    const char* start = s_.c_str() + i_;
-    char* end = nullptr;
-    out = std::strtod(start, &end);
-    if (end == start) return false;
-    i_ += static_cast<std::size_t>(end - start);
-    return true;
-  }
-
-  bool parse_bool(bool& out) {
-    ws();
-    if (s_.compare(i_, 4, "true") == 0) {
-      out = true;
-      i_ += 4;
-      return true;
-    }
-    if (s_.compare(i_, 5, "false") == 0) {
-      out = false;
-      i_ += 5;
-      return true;
-    }
-    return false;
-  }
-
-  /// Skips any value (for unknown keys): scalar, array, or object.
-  bool skip_value() {
-    ws();
-    const char c = peek();
-    if (c == '"') {
-      std::string ignored;
-      return parse_string(ignored);
-    }
-    if (c == '{' || c == '[') {
-      const char close = c == '{' ? '}' : ']';
-      ++i_;
-      if (consume(close)) return true;
-      for (;;) {
-        if (c == '{') {
-          std::string key;
-          if (!parse_string(key) || !consume(':')) return false;
-        }
-        if (!skip_value()) return false;
-        if (consume(close)) return true;
-        if (!consume(',')) return false;
-      }
-    }
-    if (s_.compare(i_, 4, "null") == 0) {
-      i_ += 4;
-      return true;
-    }
-    bool b = false;
-    if (parse_bool(b)) return true;
-    double d = 0.0;
-    return parse_number(d);
-  }
-
- private:
-  const std::string& s_;
-  std::size_t i_ = 0;
-};
+using util::json::format_double;
+using util::json::Reader;
 
 void append_field(std::string& out, const char* key, const std::string& value, bool& first) {
   out += first ? "\"" : ",\"";
@@ -166,12 +35,6 @@ void append_field(std::string& out, const char* key, bool value, bool& first) {
 }
 
 }  // namespace
-
-std::string format_double(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return buf;
-}
 
 aging::AgingScenario Request::scenario() const {
   return aging::AgingScenario{lambda_p, lambda_n, years, include_mobility};
@@ -261,112 +124,84 @@ std::string to_json(const WorkerReply& r) {
   return out;
 }
 
-namespace {
-
-/// Drives one object parse, dispatching each key to `field(scan, key)`;
-/// `field` returns false on a malformed value for a key it knows, and must
-/// call `scan.skip_value()` for keys it does not.
-template <typename FieldFn>
-bool parse_object(const std::string& line, std::string& error, FieldFn&& field) {
-  Scan scan(line);
-  if (!scan.consume('{')) return scan.fail(error, "expected '{'");
-  if (scan.consume('}')) return true;
-  for (;;) {
-    std::string key;
-    if (!scan.parse_string(key)) return scan.fail(error, "expected key string");
-    if (!scan.consume(':')) return scan.fail(error, "expected ':'");
-    if (!field(scan, key)) return scan.fail(error, "bad value for \"" + key + "\"");
-    if (scan.consume('}')) break;
-    if (!scan.consume(',')) return scan.fail(error, "expected ',' or '}'");
-  }
-  return true;
-}
-
-}  // namespace
-
 bool parse_request(const std::string& line, Request& out, std::string& error) {
   out = Request{};
-  return parse_object(line, error, [&out](Scan& scan, const std::string& key) {
-    if (key == "id") return scan.parse_string(out.id);
-    if (key == "op") return scan.parse_string(out.op);
-    if (key == "cell") return scan.parse_string(out.cell);
-    if (key == "lambda_p") return scan.parse_number(out.lambda_p);
-    if (key == "lambda_n") return scan.parse_number(out.lambda_n);
-    if (key == "years") return scan.parse_number(out.years);
-    if (key == "mobility") return scan.parse_bool(out.include_mobility);
-    if (key == "netlist") return scan.parse_string(out.netlist);
-    if (key == "guardband_ps") return scan.parse_number(out.guardband_ps);
-    if (key == "deadline_ms") return scan.parse_number(out.deadline_ms);
-    if (key == "max_age_ms") return scan.parse_number(out.max_age_ms);
+  return util::json::parse_object(line, error, [&out](Reader& r, std::string_view key) {
+    if (key == "id") return r.string(out.id);
+    if (key == "op") return r.string(out.op);
+    if (key == "cell") return r.string(out.cell);
+    if (key == "lambda_p") return r.number(out.lambda_p);
+    if (key == "lambda_n") return r.number(out.lambda_n);
+    if (key == "years") return r.number(out.years);
+    if (key == "mobility") return r.boolean(out.include_mobility);
+    if (key == "netlist") return r.string(out.netlist);
+    if (key == "guardband_ps") return r.number(out.guardband_ps);
+    if (key == "deadline_ms") return r.number(out.deadline_ms);
+    if (key == "max_age_ms") return r.number(out.max_age_ms);
     if (key == "corners") {
-      if (!scan.consume('[')) return false;
-      if (scan.consume(']')) return true;
-      for (;;) {
+      return r.array([&out](Reader& r) {
         std::array<double, 2> corner{};
-        if (!scan.consume('[') || !scan.parse_number(corner[0]) || !scan.consume(',') ||
-            !scan.parse_number(corner[1]) || !scan.consume(']')) {
+        std::size_t n = 0;
+        if (!r.array([&](Reader& r) { return n < 2 && r.number(corner[n++]); }) || n != 2) {
           return false;
         }
         out.corners.push_back(corner);
-        if (scan.consume(']')) return true;
-        if (!scan.consume(',')) return false;
-      }
+        return true;
+      });
     }
-    return scan.skip_value();
+    return r.skip();
   });
 }
 
 bool parse_response(const std::string& line, Response& out, std::string& error) {
   out = Response{};
-  return parse_object(line, error, [&out](Scan& scan, const std::string& key) {
-    if (key == "id") return scan.parse_string(out.id);
-    if (key == "status") return scan.parse_string(out.status);
-    if (key == "error") return scan.parse_string(out.error);
-    if (key == "library") return scan.parse_string(out.library);
-    if (key == "result") return scan.parse_string(out.result);
-    if (key == "retry_after_ms") return scan.parse_number(out.retry_after_ms);
+  return util::json::parse_object(line, error, [&out](Reader& r, std::string_view key) {
+    if (key == "id") return r.string(out.id);
+    if (key == "status") return r.string(out.status);
+    if (key == "error") return r.string(out.error);
+    if (key == "library") return r.string(out.library);
+    if (key == "result") return r.string(out.result);
+    if (key == "retry_after_ms") return r.number(out.retry_after_ms);
     if (key == "stats") {
-      if (!scan.consume('{')) return false;
-      if (scan.consume('}')) return true;
-      for (;;) {
-        std::string name;
+      return r.object([&out](Reader& r, std::string_view name) {
         double value = 0.0;
-        if (!scan.parse_string(name) || !scan.consume(':') || !scan.parse_number(value)) {
-          return false;
-        }
-        out.stats.emplace_back(std::move(name), value);
-        if (scan.consume('}')) return true;
-        if (!scan.consume(',')) return false;
-      }
+        if (!r.number(value)) return false;
+        out.stats.emplace_back(std::string(name), value);
+        return true;
+      });
     }
-    return scan.skip_value();
+    return r.skip();
   });
+}
+
+bool read_worker_task_member(Reader& r, std::string_view key, WorkerTask& out) {
+  if (key == "task") return r.string(out.task);
+  if (key == "cell") return r.string(out.cell);
+  if (key == "lambda_p") return r.number(out.lambda_p);
+  if (key == "lambda_n") return r.number(out.lambda_n);
+  if (key == "years") return r.number(out.years);
+  if (key == "mobility") return r.boolean(out.include_mobility);
+  if (key == "hang_ms") return r.number(out.hang_ms);
+  if (key == "exit") return r.boolean(out.exit_now);
+  return r.skip();
 }
 
 bool parse_worker_task(const std::string& line, WorkerTask& out, std::string& error) {
   out = WorkerTask{};
-  return parse_object(line, error, [&out](Scan& scan, const std::string& key) {
-    if (key == "task") return scan.parse_string(out.task);
-    if (key == "cell") return scan.parse_string(out.cell);
-    if (key == "lambda_p") return scan.parse_number(out.lambda_p);
-    if (key == "lambda_n") return scan.parse_number(out.lambda_n);
-    if (key == "years") return scan.parse_number(out.years);
-    if (key == "mobility") return scan.parse_bool(out.include_mobility);
-    if (key == "hang_ms") return scan.parse_number(out.hang_ms);
-    if (key == "exit") return scan.parse_bool(out.exit_now);
-    return scan.skip_value();
+  return util::json::parse_object(line, error, [&out](Reader& r, std::string_view key) {
+    return read_worker_task_member(r, key, out);
   });
 }
 
 bool parse_worker_reply(const std::string& line, WorkerReply& out, std::string& error) {
   out = WorkerReply{};
-  return parse_object(line, error, [&out](Scan& scan, const std::string& key) {
-    if (key == "task") return scan.parse_string(out.task);
-    if (key == "status") return scan.parse_string(out.status);
-    if (key == "error") return scan.parse_string(out.error);
-    if (key == "permanent") return scan.parse_bool(out.permanent);
-    if (key == "payload") return scan.parse_string(out.payload);
-    return scan.skip_value();
+  return util::json::parse_object(line, error, [&out](Reader& r, std::string_view key) {
+    if (key == "task") return r.string(out.task);
+    if (key == "status") return r.string(out.status);
+    if (key == "error") return r.string(out.error);
+    if (key == "permanent") return r.boolean(out.permanent);
+    if (key == "payload") return r.string(out.payload);
+    return r.skip();
   });
 }
 

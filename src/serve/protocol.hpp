@@ -14,16 +14,22 @@
 ///    cells into the shared disk cache and the reply is just an ack — so a
 ///    worker killed mid-reply loses nothing.
 ///
-/// Doubles are serialized with %.17g (exact round-trip); text with RFC 8259
-/// escaping. Parsers tolerate unknown fields (forward compatibility) and
+/// Doubles are serialized with util::json::format_double (%.17g, exact
+/// round-trip); text with RFC 8259 escaping. Parsers are util::json readers:
+/// they skip unknown fields (forward compatibility), bound nesting, and
 /// report torn/invalid documents via a false return, never an exception —
 /// on a byte stream, garbage is an expected input.
 
 #include <array>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "aging/scenario.hpp"
+
+namespace rw::util::json {
+class Reader;
+}
 
 namespace rw::serve {
 
@@ -75,7 +81,7 @@ struct Response {
   std::string error;
   std::string library;
   /// op=prove / op=guardband result document (one-line JSON, itself built
-  /// with format_double so fleet grading can compare it bitwise).
+  /// with util::json::format_double so fleet grading can compare it bitwise).
   std::string result;
   double retry_after_ms = 0.0;
   std::vector<std::pair<std::string, double>> stats;
@@ -112,9 +118,6 @@ struct WorkerReply {
   std::string payload;
 };
 
-/// %.17g — doubles survive the wire bit-exactly.
-std::string format_double(double value);
-
 /// Serializers emit one JSON object WITHOUT the trailing '\n' (the sender
 /// appends the frame delimiter).
 std::string to_json(const Request& r);
@@ -128,5 +131,10 @@ bool parse_request(const std::string& line, Request& out, std::string& error);
 bool parse_response(const std::string& line, Response& out, std::string& error);
 bool parse_worker_task(const std::string& line, WorkerTask& out, std::string& error);
 bool parse_worker_reply(const std::string& line, WorkerReply& out, std::string& error);
+
+/// Reads the value of one WorkerTask member `key` into `out` (unknown keys
+/// are skipped). Documents that extend a WorkerTask, like spool records,
+/// read their own keys and hand the rest here.
+bool read_worker_task_member(util::json::Reader& r, std::string_view key, WorkerTask& out);
 
 }  // namespace rw::serve

@@ -37,6 +37,7 @@
 #include "serve/worker.hpp"
 #include "util/atomic_file.hpp"
 #include "util/io.hpp"
+#include "util/json.hpp"
 #include "util/proc_lease.hpp"
 #include "util/strings.hpp"
 #include "util/thread_pool.hpp"
@@ -1181,7 +1182,7 @@ struct Server::Impl {
       out += first ? "\n    " : ",\n    ";
       first = false;
       util::append_json_string(out, name);
-      out += ": " + format_double(value);
+      out += ": " + util::json::format_double(value);
     }
     out += "\n  }\n}\n";
     (void)util::write_file_atomic_nothrow(opt.report_path, out);

@@ -4,12 +4,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <string_view>
 #include <system_error>
+
+#include "util/json.hpp"
 
 namespace rw::serve {
 
@@ -37,7 +37,7 @@ std::optional<util::FileLease> publish_spool_record(const std::string& path,
                                                     const WorkerTask& task, double ttl_ms) {
   // The WorkerTask document with the owner's TTL spliced in as its first
   // key (parse_worker_task skips unknown keys, so the body is both).
-  std::string body = "{\"ttl_ms\":" + format_double(ttl_ms) + ",";
+  std::string body = "{\"ttl_ms\":" + util::json::format_double(ttl_ms) + ",";
   const std::string task_json = to_json(task);
   body.append(task_json, 1, task_json.size() - 1);  // splice past the '{'
   body += '\n';
@@ -45,24 +45,19 @@ std::optional<util::FileLease> publish_spool_record(const std::string& path,
 }
 
 bool read_spool_record(const std::string& path, SpoolRecord& out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::string line;
-  if (!std::getline(in, line)) return false;
-  std::string error;
+  // One pass over the WorkerTask document plus the spliced-in TTL.
   WorkerTask task;
-  if (!parse_worker_task(line, task, error) || task.task.empty() || task.cell.empty()) {
-    return false;
-  }
-  // Re-scan the TTL key (parse_worker_task skipped it).
-  constexpr std::string_view kTtl = "\"ttl_ms\":";
-  const std::size_t at = line.find(kTtl);
-  if (at == std::string::npos) return false;
-  const char* start = line.c_str() + at + kTtl.size();
-  char* end = nullptr;
-  const double ttl = std::strtod(start, &end);
+  double ttl = 0.0;
+  bool has_ttl = false;
+  std::string error;
+  const bool parsed = util::json::parse_object_file(
+      path, error, [&](util::json::Reader& r, std::string_view key) {
+        if (key == "ttl_ms") return has_ttl = r.number(ttl);
+        return read_worker_task_member(r, key, task);
+      });
+  if (!parsed || !has_ttl || task.task.empty() || task.cell.empty()) return false;
   const double age = file_idle_ms(path, -1.0);
-  if (end == start || age < 0.0) return false;
+  if (age < 0.0) return false;
   out.task = std::move(task);
   out.ttl_ms = ttl;
   out.age_ms = age;

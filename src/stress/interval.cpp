@@ -1,6 +1,7 @@
 #include "stress/interval.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "util/strings.hpp"
 
@@ -18,6 +19,37 @@ Interval Interval::clamped() const {
 
 std::string Interval::str() const {
   return "[" + util::format_fixed(lo, 4) + ", " + util::format_fixed(hi, 4) + "]";
+}
+
+namespace {
+
+/// The whole of `text` as one number.
+bool parse_number(std::string_view text, double& out) {
+  const std::string s(text);
+  char* end = nullptr;
+  out = std::strtod(s.c_str(), &end);
+  return !s.empty() && end == s.c_str() + s.size();
+}
+
+}  // namespace
+
+bool parse_interval(std::string_view text, Interval& out) {
+  const auto colon = text.find(':');
+  Interval v;
+  if (colon == std::string_view::npos || !parse_number(text.substr(0, colon), v.lo) ||
+      !parse_number(text.substr(colon + 1), v.hi)) {
+    return false;
+  }
+  if (!(v.lo >= 0.0 && v.lo <= v.hi && v.hi <= 1.0)) return false;  // NaN fails too
+  out = v;
+  return true;
+}
+
+bool parse_net_interval(std::string_view spec, std::string& net, Interval& out) {
+  const auto eq = spec.find('=');
+  if (eq == std::string_view::npos || !parse_interval(spec.substr(eq + 1), out)) return false;
+  net = spec.substr(0, eq);
+  return true;
 }
 
 RealInterval RealInterval::hull(const RealInterval& other) const {

@@ -10,6 +10,7 @@
 /// P(gate-input high) onto pMOS stress duty cycles.
 
 #include <string>
+#include <string_view>
 
 namespace rw::stress {
 
@@ -45,6 +46,13 @@ struct Interval {
   /// "[0.25, 0.75]" with fixed decimals (stable across locales/threads).
   [[nodiscard]] std::string str() const;
 };
+
+/// Parses the analysis CLIs' "LO:HI" with 0 <= LO <= HI <= 1. False on
+/// anything else, trailing junk included; `out` is untouched then.
+bool parse_interval(std::string_view text, Interval& out);
+
+/// Parses "NET=LO:HI" (see parse_interval).
+bool parse_net_interval(std::string_view spec, std::string& net, Interval& out);
 
 /// An unconstrained real interval `[lo, hi]` — the value domain shared by
 /// the certified interval STA (rwprove): arrival/slew/delay bounds in ps.

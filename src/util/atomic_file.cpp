@@ -7,6 +7,8 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 
 #include "util/io.hpp"
@@ -79,6 +81,15 @@ bool write_file_atomic_nothrow(const std::string& path, std::string_view content
   } catch (...) {
     return false;
   }
+}
+
+bool read_file(const std::string& path, std::string& out) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;
+  std::ostringstream os;
+  os << in.rdbuf();
+  out = std::move(os).str();
+  return !in.bad();
 }
 
 }  // namespace rw::util

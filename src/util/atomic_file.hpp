@@ -8,7 +8,8 @@
 /// followed by a directory fsync, so a concurrent reader — or a reader after
 /// `kill -9` mid-write, or after a power cut right after publish — only ever
 /// sees the previous complete file or the new complete file, never a
-/// truncated hybrid. Parent directories are created on demand.
+/// truncated hybrid. Parent directories are created on demand. `read_file`
+/// is the matching whole-file reader.
 
 #include <string>
 #include <string_view>
@@ -28,5 +29,9 @@ void write_file_atomic(const std::string& path, std::string_view content);
 /// checkpoints): failures are swallowed and reported via the return value,
 /// never by an exception. Returns true when the rename landed.
 bool write_file_atomic_nothrow(const std::string& path, std::string_view content) noexcept;
+
+/// Reads the whole file at `path` into `out` (binary-safe). False when it
+/// cannot be opened or read.
+bool read_file(const std::string& path, std::string& out);
 
 }  // namespace rw::util

@@ -139,12 +139,17 @@ int connect_unix(const std::string& path) {
 LineReader::Status LineReader::read_line(std::string& line, int timeout_ms) {
   const auto t0 = std::chrono::steady_clock::now();
   for (;;) {
-    const std::size_t nl = buffer_.find('\n');
+    const std::size_t nl = buffer_.find('\n', scanned_);
     if (nl != std::string::npos) {
-      line.assign(buffer_, 0, nl);
-      buffer_.erase(0, nl + 1);
+      line.assign(buffer_, start_, nl - start_);
+      start_ = scanned_ = nl + 1;
       return Status::kLine;
     }
+    // No complete line buffered: drop the consumed prefix once (each byte
+    // moves at most once) and resume the search where this one stopped.
+    buffer_.erase(0, start_);
+    scanned_ = buffer_.size();
+    start_ = 0;
     if (timeout_ms >= 0) {
       // timeout 0 = "consume whatever is already readable, never block":
       // the poll below runs with 0 and gates the read.

@@ -64,7 +64,8 @@ class LineReader {
   /// blocks; `timeout_ms == 0` consumes whatever is already readable
   /// without blocking (the event-loop drain mode). EINTR never surfaces. A
   /// trailing partial line at EOF is reported as kEof (the protocol treats
-  /// torn frames as peer death).
+  /// torn frames as peer death). Linear in the bytes read, however long
+  /// the line or however many lines one read delivers.
   Status read_line(std::string& line, int timeout_ms = -1);
 
   [[nodiscard]] int fd() const { return fd_; }
@@ -72,6 +73,8 @@ class LineReader {
  private:
   int fd_;
   std::string buffer_;
+  std::size_t start_ = 0;    ///< first unconsumed byte of buffer_
+  std::size_t scanned_ = 0;  ///< buffer_ holds no '\n' in [start_, scanned_)
 };
 
 }  // namespace rw::util::io

@@ -471,5 +471,14 @@ TEST(RwactivityCli, UsageErrorsExitSixtyFour) {
   EXPECT_EQ(code, 64);
 }
 
+TEST(RwactivityCli, TrailingJunkInAnIntervalIsAUsageError) {
+  int code = -1;
+  const std::string out = run_cli("--input a=0:1x --lib " RW_REPO_DIR
+                                  "/examples/fixtures/mini.lib " RW_REPO_DIR
+                                  "/examples/fixtures/clean.v",
+                                  code);
+  EXPECT_EQ(code, 64) << out;
+}
+
 }  // namespace
 }  // namespace rw::stress

@@ -368,6 +368,22 @@ TEST_F(OrchestratorTest, Fl001FlagsMissingStaleAndUnparsableManifests) {
   const auto broken = flow::lint_flow_manifest(manifest);
   ASSERT_EQ(broken.size(), 1u);
   EXPECT_NE(broken[0].message.find("malformed"), std::string::npos);
+
+  // A byte count must be an exact integer that fits: an overflowing, negative
+  // or fractional one is malformed, never cast (and trusted against a
+  // 1-byte artifact).
+  util::write_file_atomic(dir_ + "/00_a.art", "x");
+  for (const char* bytes : {"1e30", "-1", "1.5"}) {
+    util::write_file_atomic(manifest,
+                            std::string("{\"flow\":\"test_flow\",\"stages\":[{\"index\":0,"
+                                        "\"name\":\"a\",\"status\":\"done\",\"artifact\":"
+                                        "\"00_a.art\",\"bytes\":") +
+                                bytes + ",\"wall_ms\":0.000}]}\n");
+    const auto diags = flow::lint_flow_manifest(manifest);
+    ASSERT_EQ(diags.size(), 1u) << bytes;
+    EXPECT_NE(diags[0].message.find("malformed"), std::string::npos)
+        << bytes << ": " << diags[0].message;
+  }
 }
 
 }  // namespace

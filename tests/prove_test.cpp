@@ -365,5 +365,15 @@ TEST(RwproveCli, UsageErrorsExitSixtyFour) {
   EXPECT_EQ(code, 64);
 }
 
+TEST(RwproveCli, TrailingJunkInAnIntervalIsAUsageError) {
+  int code = -1;
+  const std::string out = run_cli("--default 0:1x --fresh " RW_REPO_DIR
+                                  "/examples/fixtures/mini.lib --lib " RW_REPO_DIR
+                                  "/examples/fixtures/proven.lib " RW_REPO_DIR
+                                  "/examples/fixtures/clean.v",
+                                  code);
+  EXPECT_EQ(code, 64) << out;
+}
+
 }  // namespace
 }  // namespace rw

@@ -265,6 +265,20 @@ TEST(ServeProtocol, MalformedLinesAreRejectedNotCrashed) {
   EXPECT_FALSE(error.empty());
 }
 
+/// A request whose unknown member nests `depth` arrays — 100 k levels is a
+/// 200 KB line, well inside what one client can send.
+std::string deeply_nested_request(std::size_t depth) {
+  return "{\"id\":\"x\",\"op\":\"ping\",\"junk\":" + std::string(depth, '[') +
+         std::string(depth, ']') + "}";
+}
+
+TEST(ServeProtocol, ADeeplyNestedRequestIsRejectedNotRecursedInto) {
+  serve::Request req;
+  std::string error;
+  EXPECT_FALSE(serve::parse_request(deeply_nested_request(100000), req, error));
+  EXPECT_NE(error.find("nesting deeper than"), std::string::npos) << error;
+}
+
 TEST(ServeProtocol, WorkerFramesRoundTrip) {
   serve::WorkerTask task;
   task.task = "3x3/L0.50_0.50_y10/NAND2_X1";
@@ -474,6 +488,54 @@ TEST_F(ServeTest, OverloadShedsBoundedlyAndTheDaemonStaysResponsive) {
 
   serve::Request bye;
   bye.id = "overload-bye";
+  bye.op = "shutdown";
+  EXPECT_EQ(client.request(bye).status, "ok");
+  int status = 0;
+  ASSERT_EQ(waitpid(daemon, &status, 0), daemon);
+  EXPECT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  ::unlink(socket_path.c_str());
+}
+
+TEST_F(ServeTest, ADeeplyNestedRequestGetsAnErrorAndTheDaemonStaysUp) {
+  const std::string dir = unique_dir("serve_nested");
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string socket_path =
+      "/tmp/rwservetest_nst_" + std::to_string(::getpid()) + ".sock";
+  const pid_t daemon = spawn_daemon(base_options(dir, socket_path));
+  ASSERT_GT(daemon, 0);
+
+  serve::ClientOptions copt;
+  copt.socket_path = socket_path;
+  copt.timeout_ms = 5000;
+  serve::Request ping;
+  ping.id = "nested-ping-1";
+  ping.op = "ping";
+  {
+    serve::ServeClient client(copt);
+    ASSERT_EQ(client.request(ping).status, "ok");  // the daemon is listening
+  }
+
+  const int fd = util::io::connect_unix(socket_path);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(util::io::write_all(fd, deeply_nested_request(100000) + "\n"));
+  util::io::LineReader reader(fd);
+  std::string line;
+  ASSERT_EQ(reader.read_line(line, 10000), util::io::LineReader::Status::kLine)
+      << "the daemon died instead of answering";
+  ::close(fd);
+  serve::Response resp;
+  std::string error;
+  ASSERT_TRUE(serve::parse_response(line, resp, error)) << error;
+  EXPECT_EQ(resp.status, "error");
+  EXPECT_EQ(resp.error.rfind("bad request: ", 0), 0u) << resp.error;
+
+  ping.id = "nested-ping-2";
+  serve::ServeClient client(copt);
+  EXPECT_EQ(client.request(ping).status, "ok");
+  serve::Request bye;
+  bye.id = "nested-bye";
   bye.op = "shutdown";
   EXPECT_EQ(client.request(bye).status, "ok");
   int status = 0;

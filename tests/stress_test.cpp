@@ -430,5 +430,14 @@ TEST(RwstressCli, UsageErrorsExitSixtyFour) {
   EXPECT_EQ(code, 64);
 }
 
+TEST(RwstressCli, TrailingJunkInAnIntervalIsAUsageError) {
+  int code = -1;
+  const std::string out = run_cli("--default 0:1x --lib " RW_REPO_DIR
+                                  "/examples/fixtures/mini.lib " RW_REPO_DIR
+                                  "/examples/fixtures/clean.v",
+                                  code);
+  EXPECT_EQ(code, 64) << out;
+}
+
 }  // namespace
 }  // namespace rw::stress

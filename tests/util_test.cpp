@@ -1,8 +1,28 @@
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <limits>
+#include <string>
+#include <vector>
 
+#include "charlib/manifest.hpp"
+#include "flow/artifact.hpp"
+#include "flow/orchestrator.hpp"
+#include "flow/run_report.hpp"
+#include "serve/protocol.hpp"
+#include "serve/spool.hpp"
+#include "util/atomic_file.hpp"
 #include "util/interp.hpp"
+#include "util/io.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
@@ -139,6 +159,366 @@ TEST(Strings, ParseIndexedRejectsPlainNames) {
   double ln = 0.0;
   EXPECT_FALSE(parse_indexed_cell_name("NAND2_X1", base, lp, ln));
   EXPECT_FALSE(parse_indexed_cell_name("X", base, lp, ln));
+}
+
+// ---------------------------------------------------------------------------
+// JSON reader
+
+namespace fs = std::filesystem;
+
+TEST(Json, ReadsEveryValueKindAndSkipsUnknownKeysOfAnyType) {
+  const std::string doc =
+      "{ \"s\" : \"a\\\"b\\\\c\\/\\n\\t\\r\\b\\f\\u0001\\u00e9\" ,\n"
+      "  \"x\": -1.5e3, \"t\": true, \"f\": false, \"n\": 7,\n"
+      "  \"skip\": {\"k\": [1, \"two\", null, {\"deep\": [[]]}], \"e\": {}},\n"
+      "  \"also\": \"skipped\", \"num\": -0.25, \"nil\": null, \"a\": [3, 4] }";
+  std::string s;
+  double x = 0.0;
+  bool t = false;
+  bool f = true;
+  int n = 0;
+  std::vector<double> a;
+  std::string error;
+  ASSERT_TRUE(json::parse_object(doc, error, [&](json::Reader& r, std::string_view key) {
+    if (key == "s") return r.string(s);
+    if (key == "x") return r.number(x);
+    if (key == "t") return r.boolean(t);
+    if (key == "f") return r.boolean(f);
+    if (key == "n") return r.integer(n);
+    if (key == "a") {
+      return r.array([&](json::Reader& r) {
+        a.push_back(0.0);
+        return r.number(a.back());
+      });
+    }
+    return r.skip();
+  })) << error;
+  EXPECT_EQ(s, std::string("a\"b\\c/\n\t\r\b\f\x01\xc3\xa9"));
+  EXPECT_EQ(x, -1500.0);
+  EXPECT_TRUE(t);
+  EXPECT_FALSE(f);
+  EXPECT_EQ(n, 7);
+  EXPECT_EQ(a, (std::vector<double>{3.0, 4.0}));
+
+  // Every escape the shared writer emits reads back to the same bytes.
+  std::string all;
+  for (int c = 1; c < 256; ++c) all.push_back(static_cast<char>(c));
+  std::string written = "{\"v\":";
+  append_json_string(written, all);
+  written += '}';
+  std::string back;
+  ASSERT_TRUE(json::parse_object(written, error, [&](json::Reader& r, std::string_view) {
+    return r.string(back);
+  })) << error;
+  EXPECT_EQ(back, all);
+}
+
+TEST(Json, MalformedDocumentsFailWithAPositionedError) {
+  const auto reject = [](const std::string& doc) {
+    std::string error;
+    const bool ok = json::parse_object(doc, error, [](json::Reader& r, std::string_view) {
+      return r.skip();
+    });
+    return !ok && error.find(" at offset ") != std::string::npos;
+  };
+  for (const char* doc : {"", "[]", "{", "{\"a\"}", "{\"a\":}", "{\"a\":1,}", "{\"a\":1 \"b\":2}",
+                          "{\"a\":\"\\q\"}", "{\"a\":\"\\u12\"}", "{\"a\":\"\\u00g0\"}",
+                          "{\"a\":[1,]}", "{\"a\":tru}", "{\"a\":\"open}", "{1:2}"}) {
+    EXPECT_TRUE(reject(doc)) << doc;
+  }
+}
+
+TEST(Json, IntegersAreExactAndFitTheirType) {
+  const auto read = [](const std::string& value, auto& out) {
+    std::string error;
+    return json::parse_object("{\"v\":" + value + "}", error,
+                              [&](json::Reader& r, std::string_view) { return r.integer(out); });
+  };
+  std::size_t bytes = 0;
+  EXPECT_TRUE(read("18446744073709551615", bytes));
+  EXPECT_EQ(bytes, std::numeric_limits<std::size_t>::max());
+  for (const char* bad : {"1e30", "-1", "1.5", "1e3", "18446744073709551616", "+1", "\"1\""}) {
+    EXPECT_FALSE(read(bad, bytes)) << bad;
+  }
+  int index = 0;
+  EXPECT_TRUE(read("2147483647", index));
+  EXPECT_EQ(index, 2147483647);
+  EXPECT_FALSE(read("2147483648", index));
+}
+
+TEST(Json, NestingIsBoundedSoDeepDocumentsAreRejectedNotRecursedInto) {
+  const auto skip_all = [](const std::string& doc, std::string& error) {
+    return json::parse_object(doc, error, [](json::Reader& r, std::string_view) {
+      return r.skip();
+    });
+  };
+  const auto nested = [](int depth) {
+    return "{\"junk\":" + std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']') + "}";
+  };
+  std::string error;
+  // The object itself is one level.
+  EXPECT_TRUE(skip_all(nested(json::kMaxDepth - 1), error)) << error;
+  EXPECT_FALSE(skip_all(nested(json::kMaxDepth), error));
+  EXPECT_NE(error.find("nesting deeper than"), std::string::npos) << error;
+  error.clear();
+  EXPECT_FALSE(skip_all("{\"junk\":" + std::string(100000, '[') + "}", error));
+  EXPECT_NE(error.find("nesting deeper than"), std::string::npos) << error;
+}
+
+TEST(Json, FormatDoubleRoundTripsBitwiseIncludingNonFinite) {
+  const double values[] = {0.0, -0.0, 1.0 / 3.0, 1e-310, 1.7976931348623157e308, -2.5,
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()};
+  for (const double v : values) {
+    double back = 0.0;
+    std::string error;
+    ASSERT_TRUE(json::parse_object("{\"v\":" + json::format_double(v) + "}", error,
+                                   [&](json::Reader& r, std::string_view) {
+                                     return r.number(back);
+                                   }))
+        << json::format_double(v) << ": " << error;
+    EXPECT_EQ(std::memcmp(&back, &v, sizeof v), 0) << json::format_double(v);
+  }
+  double back = 0.0;
+  std::string error;
+  ASSERT_TRUE(json::parse_object(
+      "{\"v\":" + json::format_double(std::numeric_limits<double>::quiet_NaN()) + "}", error,
+      [&](json::Reader& r, std::string_view) { return r.number(back); }));
+  EXPECT_TRUE(std::isnan(back));
+}
+
+/// Every strict prefix of `doc` and `flips` seeded single-byte corruptions.
+std::vector<std::string> mutations(const std::string& doc, std::uint64_t seed, int flips) {
+  std::vector<std::string> out;
+  for (std::size_t n = 0; n < doc.size(); ++n) out.push_back(doc.substr(0, n));
+  Rng rng(seed);
+  for (int k = 0; k < flips; ++k) {
+    std::string m = doc;
+    m[rng.next_below(m.size())] = static_cast<char>(rng.next_below(256));
+    out.push_back(std::move(m));
+  }
+  return out;
+}
+
+// Truncation and corruption sweep over one document of every kind the
+// toolchain reads back, through the reader that reads it in production.
+// Each input must be parsed or rejected cleanly, never crash (run under
+// AddressSanitizer by scripts/check.sh), and no torn document — a prefix
+// that ends before the closing brace — may parse.
+TEST(Json, EveryReaderSurvivesTruncationAndByteFlips) {
+  const std::string dir = (fs::temp_directory_path() /
+                           ("rw_json_sweep_" + std::to_string(::getpid())))
+                              .string();
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string file = dir + "/doc.json";
+  const auto put = [&](const std::string& text) { std::ofstream(file, std::ios::binary) << text; };
+  std::string error;
+
+  using ReadFn = std::function<bool(const std::string&)>;
+  std::vector<std::pair<std::string, ReadFn>> kinds;
+
+  charlib::RunManifest manifest(dir + "/manifest.json");
+  manifest.record_done("wc10y", "NAND2_X1", 2);
+  manifest.record_failed("wc10y", "XOR2_X1", "characterize XOR2_X1: \"diverged\"\n");
+  manifest.save();
+  std::string manifest_doc;
+  ASSERT_TRUE(read_file(dir + "/manifest.json", manifest_doc));
+  kinds.emplace_back(manifest_doc, [&](const std::string& text) {
+    put(text);
+    return charlib::RunManifest::load(file).size() == 2;
+  });
+
+  {
+    flow::OrchestratorOptions opts;
+    opts.dir = dir + "/flow";
+    flow::FlowOrchestrator run("sweep_flow", opts);
+    (void)run.stage("a", [] { return std::vector<double>{1.0}; },
+                    flow::artifact::encode_doubles, flow::artifact::decode_doubles);
+  }
+  std::string flow_doc;
+  ASSERT_TRUE(read_file(dir + "/flow/flow_manifest.json", flow_doc));
+  kinds.emplace_back(flow_doc, [&](const std::string& text) {
+    put(text);
+    for (const auto& d : flow::lint_flow_manifest(file)) {
+      if (d.message.find("malformed") != std::string::npos) return false;
+    }
+    return true;
+  });
+
+  serve::Request req;
+  req.id = "req-1";
+  req.op = "merged";
+  req.cell = "NAND2_X1";
+  req.lambda_p = 0.25;
+  req.netlist = "module m(a);\n  input a;\nendmodule\n";
+  req.guardband_ps = 12.5;
+  req.corners = {{0.0, 1.0}, {0.5, 0.25}};
+  kinds.emplace_back(serve::to_json(req), [&](const std::string& text) {
+    serve::Request out;
+    return serve::parse_request(text, out, error);
+  });
+
+  serve::Response resp;
+  resp.id = "req-1";
+  resp.status = "ok";
+  resp.library = "library (x) {\n}\n";
+  resp.retry_after_ms = 5.0;
+  resp.stats = {{"tasks_done", 3.0}, {"queue_depth", 0.0}};
+  kinds.emplace_back(serve::to_json(resp), [&](const std::string& text) {
+    serve::Response out;
+    return serve::parse_response(text, out, error);
+  });
+
+  serve::WorkerTask task;
+  task.task = "3x3/L0.50_0.50_y10/NAND2_X1";
+  task.cell = "NAND2_X1";
+  task.years = 10.0;
+  task.hang_ms = 50.0;
+  task.exit_now = true;
+  kinds.emplace_back(serve::to_json(task), [&](const std::string& text) {
+    serve::WorkerTask out;
+    return serve::parse_worker_task(text, out, error);
+  });
+
+  serve::WorkerReply reply;
+  reply.task = task.task;
+  reply.status = "failed";
+  reply.error = "solver exhausted the retry ladder";
+  reply.permanent = true;
+  reply.payload = "{\"x\":1}";
+  kinds.emplace_back(serve::to_json(reply), [&](const std::string& text) {
+    serve::WorkerReply out;
+    return serve::parse_worker_reply(text, out, error);
+  });
+
+  const std::string spool_file = dir + "/spool.task";
+  std::string spool_doc;
+  {
+    auto lease = serve::publish_spool_record(spool_file, task, 1234.0);
+    ASSERT_TRUE(lease.has_value());
+    ASSERT_TRUE(read_file(spool_file, spool_doc));
+  }
+  kinds.emplace_back(spool_doc, [&](const std::string& text) {
+    put(text);
+    serve::SpoolRecord rec;
+    return serve::read_spool_record(file, rec);
+  });
+
+  flow::RunReport report;
+  report.flow = "sweep_flow";
+  report.status = "failed";
+  report.stages.push_back(flow::StageReport{"a", "failed", 1.5, "", 0, "boom"});
+  kinds.emplace_back(report.to_json(), [&](const std::string& text) {
+    return json::parse_object(text, error, [](json::Reader& r, std::string_view) {
+      return r.skip();
+    });
+  });
+
+  for (std::size_t k = 0; k < kinds.size(); ++k) {
+    const auto& [doc, read] = kinds[k];
+    ASSERT_TRUE(read(doc)) << "kind " << k << " must read its own writer's output:\n" << doc;
+    const std::size_t closing = doc.rfind('}');
+    const std::vector<std::string> inputs = mutations(doc, 1000 + k, 512);
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      const bool parsed = read(inputs[i]);
+      if (i < closing) {
+        EXPECT_FALSE(parsed) << "kind " << k << " torn at " << i;
+      }
+    }
+  }
+  fs::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// LineReader
+
+class LineReaderTest : public ::testing::Test {
+ protected:
+  void SetUp() override { ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds_), 0); }
+  void TearDown() override {
+    ::close(fds_[0]);
+    if (fds_[1] >= 0) ::close(fds_[1]);
+  }
+  void send(const std::string& bytes) { ASSERT_TRUE(io::write_all(fds_[1], bytes)); }
+  void close_writer() {
+    ::close(fds_[1]);
+    fds_[1] = -1;
+  }
+
+  int fds_[2] = {-1, -1};
+};
+
+TEST_F(LineReaderTest, ALineSplitAcrossReadsIsJoined) {
+  io::LineReader reader(fds_[0]);
+  std::string line;
+  send("{\"id\":");
+  EXPECT_EQ(reader.read_line(line, 0), io::LineReader::Status::kTimeout);
+  send("\"x\"}");
+  EXPECT_EQ(reader.read_line(line, 0), io::LineReader::Status::kTimeout);
+  send("\nnext");
+  ASSERT_EQ(reader.read_line(line, 0), io::LineReader::Status::kLine);
+  EXPECT_EQ(line, "{\"id\":\"x\"}");
+}
+
+TEST_F(LineReaderTest, SeveralLinesInOneReadComeOutInOrder) {
+  io::LineReader reader(fds_[0]);
+  send("a\n\nbb\nccc\n");
+  std::string line;
+  for (const char* want : {"a", "", "bb", "ccc"}) {
+    ASSERT_EQ(reader.read_line(line, 1000), io::LineReader::Status::kLine);
+    EXPECT_EQ(line, want);
+  }
+  EXPECT_EQ(reader.read_line(line, 0), io::LineReader::Status::kTimeout);
+}
+
+TEST_F(LineReaderTest, APartialLineAtEofIsReportedAsEof) {
+  io::LineReader reader(fds_[0]);
+  send("whole\ntorn");
+  close_writer();
+  std::string line;
+  ASSERT_EQ(reader.read_line(line), io::LineReader::Status::kLine);
+  EXPECT_EQ(line, "whole");
+  EXPECT_EQ(reader.read_line(line), io::LineReader::Status::kEof);
+}
+
+TEST_F(LineReaderTest, TheTimeoutZeroDrainKeepsAPartialLineForTheNextCall) {
+  io::LineReader reader(fds_[0]);
+  send("one\ntw");
+  std::string line;
+  ASSERT_EQ(reader.read_line(line, 0), io::LineReader::Status::kLine);
+  EXPECT_EQ(line, "one");
+  EXPECT_EQ(reader.read_line(line, 0), io::LineReader::Status::kTimeout);
+  EXPECT_EQ(reader.read_line(line, 0), io::LineReader::Status::kTimeout);
+  send("o\nthree\n");
+  ASSERT_EQ(reader.read_line(line, 0), io::LineReader::Status::kLine);
+  EXPECT_EQ(line, "two");
+  ASSERT_EQ(reader.read_line(line, 0), io::LineReader::Status::kLine);
+  EXPECT_EQ(line, "three");
+}
+
+TEST_F(LineReaderTest, ALongLineIsReadWhole) {
+  // Longer than the socket buffer, so a child process writes it while the
+  // reader assembles it from many partial reads.
+  const std::string big(4 << 20, 'x');
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    ::close(fds_[0]);
+    const bool ok = io::write_all(fds_[1], big + "\nend\n");
+    ::_exit(ok ? 0 : 1);
+  }
+  close_writer();
+  io::LineReader reader(fds_[0]);
+  std::string line;
+  ASSERT_EQ(reader.read_line(line, 10000), io::LineReader::Status::kLine);
+  EXPECT_EQ(line, big);
+  ASSERT_EQ(reader.read_line(line, 10000), io::LineReader::Status::kLine);
+  EXPECT_EQ(line, "end");
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
 }
 
 }  // namespace

@@ -64,18 +64,6 @@ struct Args {
   bool help = false;
 };
 
-bool parse_interval(const std::string& text, rw::stress::Interval& out) {
-  const auto colon = text.find(':');
-  if (colon == std::string::npos) return false;
-  try {
-    out.lo = std::stod(text.substr(0, colon));
-    out.hi = std::stod(text.substr(colon + 1));
-  } catch (const std::exception&) {
-    return false;
-  }
-  return out.lo <= out.hi && out.lo >= 0.0 && out.hi <= 1.0;
-}
-
 bool parse_args(int argc, char** argv, Args& args) {
   const auto need_value = [&](int& i, const char* flag) -> const char* {
     if (i + 1 >= argc) {
@@ -86,13 +74,10 @@ bool parse_args(int argc, char** argv, Args& args) {
   };
   const auto parse_net_interval = [&](const char* v, const char* flag,
                                       rw::stress::Interval& interval, std::string& net) {
-    const std::string spec = v;
-    const auto eq = spec.find('=');
-    if (eq == std::string::npos || !parse_interval(spec.substr(eq + 1), interval)) {
+    if (!rw::stress::parse_net_interval(v, net, interval)) {
       std::cerr << "rwactivity: " << flag << " wants NET=LO:HI with 0 <= LO <= HI <= 1\n";
       return false;
     }
-    net = spec.substr(0, eq);
     return true;
   };
   for (int i = 1; i < argc; ++i) {
@@ -118,7 +103,7 @@ bool parse_args(int argc, char** argv, Args& args) {
     } else if (a == "--default") {
       const char* v = need_value(i, "--default");
       if (v == nullptr) return false;
-      if (!parse_interval(v, args.options.probability.default_input)) {
+      if (!rw::stress::parse_interval(v, args.options.probability.default_input)) {
         std::cerr << "rwactivity: --default wants LO:HI with 0 <= LO <= HI <= 1\n";
         return false;
       }
@@ -126,7 +111,7 @@ bool parse_args(int argc, char** argv, Args& args) {
       const char* v = need_value(i, "--default-density");
       if (v == nullptr) return false;
       rw::stress::Interval interval;
-      if (!parse_interval(v, interval)) {
+      if (!rw::stress::parse_interval(v, interval)) {
         std::cerr << "rwactivity: --default-density wants LO:HI with 0 <= LO <= HI <= 1\n";
         return false;
       }

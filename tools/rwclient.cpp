@@ -30,6 +30,7 @@
 #include "flow/cancel.hpp"
 #include "serve/client.hpp"
 #include "util/atomic_file.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -202,7 +203,7 @@ int main(int argc, char** argv) {
     }
     if (!resp.stats.empty()) {
       for (const auto& [name, value] : resp.stats) {
-        std::cout << name << " = " << rw::serve::format_double(value) << "\n";
+        std::cout << name << " = " << rw::util::json::format_double(value) << "\n";
       }
     }
     if (!resp.result.empty()) std::cout << resp.result << "\n";

@@ -73,18 +73,6 @@ struct Args {
   bool help = false;
 };
 
-bool parse_interval(const std::string& text, rw::stress::Interval& out) {
-  const auto colon = text.find(':');
-  if (colon == std::string::npos) return false;
-  try {
-    out.lo = std::stod(text.substr(0, colon));
-    out.hi = std::stod(text.substr(colon + 1));
-  } catch (const std::exception&) {
-    return false;
-  }
-  return out.lo <= out.hi && out.lo >= 0.0 && out.hi <= 1.0;
-}
-
 bool parse_double(const char* text, double& out) {
   try {
     out = std::stod(text);
@@ -115,18 +103,17 @@ bool parse_args(int argc, char** argv, Args& args) {
     } else if (a == "--input") {
       const char* v = need_value(i, "--input");
       if (v == nullptr) return false;
-      const std::string spec = v;
-      const auto eq = spec.find('=');
+      std::string net;
       rw::stress::Interval interval;
-      if (eq == std::string::npos || !parse_interval(spec.substr(eq + 1), interval)) {
+      if (!rw::stress::parse_net_interval(v, net, interval)) {
         std::cerr << "rwprove: --input wants NET=LO:HI with 0 <= LO <= HI <= 1\n";
         return false;
       }
-      args.stress.input_intervals[spec.substr(0, eq)] = interval;
+      args.stress.input_intervals[net] = interval;
     } else if (a == "--default") {
       const char* v = need_value(i, "--default");
       if (v == nullptr) return false;
-      if (!parse_interval(v, args.stress.default_input)) {
+      if (!rw::stress::parse_interval(v, args.stress.default_input)) {
         std::cerr << "rwprove: --default wants LO:HI with 0 <= LO <= HI <= 1\n";
         return false;
       }

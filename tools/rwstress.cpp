@@ -57,18 +57,6 @@ struct Args {
   bool help = false;
 };
 
-bool parse_interval(const std::string& text, rw::stress::Interval& out) {
-  const auto colon = text.find(':');
-  if (colon == std::string::npos) return false;
-  try {
-    out.lo = std::stod(text.substr(0, colon));
-    out.hi = std::stod(text.substr(colon + 1));
-  } catch (const std::exception&) {
-    return false;
-  }
-  return out.lo <= out.hi && out.lo >= 0.0 && out.hi <= 1.0;
-}
-
 bool parse_args(int argc, char** argv, Args& args) {
   const auto need_value = [&](int& i, const char* flag) -> const char* {
     if (i + 1 >= argc) {
@@ -86,18 +74,17 @@ bool parse_args(int argc, char** argv, Args& args) {
     } else if (a == "--input") {
       const char* v = need_value(i, "--input");
       if (v == nullptr) return false;
-      const std::string spec = v;
-      const auto eq = spec.find('=');
+      std::string net;
       rw::stress::Interval interval;
-      if (eq == std::string::npos || !parse_interval(spec.substr(eq + 1), interval)) {
+      if (!rw::stress::parse_net_interval(v, net, interval)) {
         std::cerr << "rwstress: --input wants NET=LO:HI with 0 <= LO <= HI <= 1\n";
         return false;
       }
-      args.options.input_intervals[spec.substr(0, eq)] = interval;
+      args.options.input_intervals[net] = interval;
     } else if (a == "--default") {
       const char* v = need_value(i, "--default");
       if (v == nullptr) return false;
-      if (!parse_interval(v, args.options.default_input)) {
+      if (!rw::stress::parse_interval(v, args.options.default_input)) {
         std::cerr << "rwstress: --default wants LO:HI with 0 <= LO <= HI <= 1\n";
         return false;
       }
