@@ -28,6 +28,7 @@
 #include "logicsim/simulator.hpp"
 #include "stress/activity_bounds.hpp"
 #include "util/atomic_file.hpp"
+#include "util/number.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -106,7 +107,9 @@ int main(int argc, char** argv) {
     if (std::strncmp(argv[i], "--json-out=", 11) == 0) {
       json_out = argv[i] + 11;
     } else if (std::strncmp(argv[i], "--circuits=", 11) == 0) {
-      max_circuits = static_cast<std::size_t>(std::strtoul(argv[i] + 11, nullptr, 10));
+      if (!util::parse_number(argv[i] + 11, max_circuits)) {
+        util::usage_exit(argv[0], "--circuits wants a count");
+      }
     }
   }
 

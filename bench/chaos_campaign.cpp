@@ -8,23 +8,17 @@
 /// the seed base without recompiling.
 
 #include <cstdint>
-#include <cstdlib>
 
 #include "bench/common.hpp"
-#include "flow/cancel.hpp"
 #include "flow/chaos.hpp"
 #include "util/atomic_file.hpp"
+#include "util/number.hpp"
 
 int main(int argc, char** argv) {
   rw::bench::init(argc, argv);
-  rw::flow::install_signal_handlers();
-  rw::flow::install_deadline_from_env();
   rw::bench::print_header("Chaos campaign: crash-only contract over the guardband flow");
 
-  std::uint64_t base_seed = 1;
-  if (const char* env = std::getenv("RW_CHAOS_SEED"); env != nullptr && *env != '\0') {
-    base_seed = std::strtoull(env, nullptr, 10);
-  }
+  const std::uint64_t base_seed = rw::util::env_number<std::uint64_t>("RW_CHAOS_SEED", 1);
   constexpr int kTrials = 25;
   const rw::flow::ChaosCampaignResult campaign =
       rw::flow::run_chaos_campaign(base_seed, kTrials, "chaos_campaign");

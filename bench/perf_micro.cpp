@@ -41,6 +41,7 @@
 #include "synth/synthesizer.hpp"
 #include "synth/mapper.hpp"
 #include "util/atomic_file.hpp"
+#include "util/number.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -310,7 +311,9 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--json-out=", 11) == 0) {
       json_out = argv[i] + 11;
     } else if (std::strncmp(argv[i], "--json-cells=", 13) == 0) {
-      json_cells = static_cast<std::size_t>(std::strtoul(argv[i] + 13, nullptr, 10));
+      if (!util::parse_number(argv[i] + 13, json_cells)) {
+        util::usage_exit(argv[0], "--json-cells wants a count");
+      }
     } else {
       argv[out_argc++] = argv[i];
     }

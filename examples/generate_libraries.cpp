@@ -21,15 +21,18 @@
 #include "flow/libgen.hpp"
 #include "liberty/merge.hpp"
 #include "liberty/writer.hpp"
+#include "util/number.hpp"
 #include "util/thread_pool.hpp"
 
 int main(int argc, char** argv) {
   using namespace rw;
   util::consume_thread_flag(argc, argv);
   const std::string out_dir = argc > 1 ? argv[1] : "libs";
-  const double years = argc > 2 ? std::atof(argv[2]) : 10.0;
-  const double step = argc > 3 ? std::atof(argv[3]) : 0.5;
-  if (years <= 0.0 || step <= 0.0 || step > 1.0) {
+  double years = 10.0;
+  double step = 0.5;
+  if ((argc > 2 && !util::parse_number(argv[2], years)) ||
+      (argc > 3 && !util::parse_number(argv[3], step)) || years <= 0.0 || step <= 0.0 ||
+      step > 1.0) {
     std::fprintf(stderr, "usage: %s [out_dir] [years>0] [0<lambda_step<=1]\n", argv[0]);
     return 1;
   }

@@ -110,6 +110,13 @@ echo "== activity: switching-activity bounds suite in the plain tree =="
 # explicitly so a filtered ctest invocation cannot drop the gate.
 ctest --test-dir "$BUILD_DIR" -L activity --output-on-failure -j "$JOBS"
 
+echo "== cli: malformed command lines exit 64 before any work =="
+# Every tool's usage-error contract (trailing junk or a comma decimal in a
+# number, a bad --threads, malformed rwclient corners, rwserved --gc and
+# rwchaos refusing before they touch a cache or trial directory). Re-run
+# explicitly so a filtered ctest invocation cannot drop the gate.
+ctest --test-dir "$BUILD_DIR" -L cli --output-on-failure -j "$JOBS"
+
 echo "== JSON codec + line reader under AddressSanitizer =="
 # util_test feeds every JSON reader (charlib and flow manifests, serve
 # frames, spool records, run reports) truncated and byte-flipped copies of

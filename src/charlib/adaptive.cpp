@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "util/number.hpp"
 #include "util/strings.hpp"
 
 namespace rw::charlib {
@@ -62,13 +63,10 @@ bool env_flag(const char* name) {
   return v != "0" && v != "false" && v != "off" && v != "no";
 }
 
-double env_double(const char* name, double fallback) {
-  if (const char* env = std::getenv(name); env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const double v = std::strtod(env, &end);
-    if (end != env && v > 0.0) return v;
-  }
-  return fallback;
+/// A positive `$name`, else `fallback`.
+double env_positive(const char* name, double fallback) {
+  const double v = util::env_number(name, fallback);
+  return v > 0.0 ? v : fallback;
 }
 
 bool is_multiple(double lambda, double step) {
@@ -94,8 +92,8 @@ void axis_bracket(double lambda, double step, double& lo, double& hi, double& w)
 AdaptiveGridOptions AdaptiveGridOptions::from_env() {
   AdaptiveGridOptions o;
   o.enabled = env_flag("RW_CHAR_ADAPTIVE");
-  o.interp_tol_ps = env_double("RW_CHAR_INTERP_TOL_PS", o.interp_tol_ps);
-  o.lattice_step = env_double("RW_CHAR_LATTICE_STEP", o.lattice_step);
+  o.interp_tol_ps = env_positive("RW_CHAR_INTERP_TOL_PS", o.interp_tol_ps);
+  o.lattice_step = env_positive("RW_CHAR_LATTICE_STEP", o.lattice_step);
   return o;
 }
 

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "netlist/verilog.hpp"
+#include "util/number.hpp"
 
 namespace rw::flow::artifact {
 
@@ -46,22 +47,11 @@ class TokenReader {
     return v;
   }
 
-  long long integer(const char* what) {
-    const std::string t = word(what);
-    char* end = nullptr;
-    const long long v = std::strtoll(t.c_str(), &end, 10);
-    if (end == t.c_str() || *end != '\0') {
+  template <typename Int = long long>
+  Int integer(const char* what) {
+    Int v = 0;
+    if (!util::parse_number(word(what), v)) {
       throw std::runtime_error(std::string("artifact: bad integer for ") + what);
-    }
-    return v;
-  }
-
-  std::uint64_t u64(const char* what) {
-    const std::string t = word(what);
-    char* end = nullptr;
-    const std::uint64_t v = std::strtoull(t.c_str(), &end, 10);
-    if (end == t.c_str() || *end != '\0') {
-      throw std::runtime_error(std::string("artifact: bad u64 for ") + what);
     }
     return v;
   }
@@ -197,7 +187,7 @@ liberty::Library decode_library(const std::string& text) {
     cell.family = r.word("cell family");
     cell.drive_x = static_cast<int>(r.integer("drive"));
     cell.is_flop = r.integer("is_flop") != 0;
-    cell.truth = r.u64("truth");
+    cell.truth = r.integer<std::uint64_t>("truth");
     cell.output_pin = r.word("output pin");
     r.expect("metrics");
     cell.area_um2 = r.number("area");

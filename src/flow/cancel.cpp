@@ -2,7 +2,8 @@
 
 #include <chrono>
 #include <csignal>
-#include <cstdlib>
+
+#include "util/number.hpp"
 
 namespace rw::flow {
 
@@ -85,11 +86,8 @@ CancelToken& cancel_token() {
 }
 
 double install_deadline_from_env() {
-  const char* env = std::getenv("RW_DEADLINE_MS");
-  if (env == nullptr || *env == '\0') return 0.0;
-  char* end = nullptr;
-  const double ms = std::strtod(env, &end);
-  if (end == env || ms <= 0.0) return 0.0;
+  const double ms = util::env_number("RW_DEADLINE_MS", 0.0);
+  if (ms <= 0.0) return 0.0;
   cancel_token().set_deadline_after_ms(ms);
   return ms;
 }

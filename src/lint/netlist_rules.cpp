@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -9,32 +8,12 @@
 
 namespace rw::lint {
 
-bool parse_indexed_name(std::string_view name, std::string& base, double& lambda_p,
-                        double& lambda_n) {
-  // Same `<base>_<num>_<num>` shape as util::parse_indexed_cell_name, minus
-  // the [0,1] range check (AN001 exists to report out-of-range indices).
-  const auto last = name.rfind('_');
-  if (last == std::string_view::npos || last == 0) return false;
-  const auto prev = name.rfind('_', last - 1);
-  if (prev == std::string_view::npos || prev == 0) return false;
-  const std::string lp_str{name.substr(prev + 1, last - prev - 1)};
-  const std::string ln_str{name.substr(last + 1)};
-  char* end = nullptr;
-  const double lp = std::strtod(lp_str.c_str(), &end);
-  if (end == lp_str.c_str() || *end != '\0') return false;
-  end = nullptr;
-  const double ln = std::strtod(ln_str.c_str(), &end);
-  if (end == ln_str.c_str() || *end != '\0') return false;
-  base = std::string{name.substr(0, prev)};
-  lambda_p = lp;
-  lambda_n = ln;
-  return true;
-}
-
 ResolvedCell resolve_cell(const liberty::Library& library, const std::string& name) {
   ResolvedCell r;
   r.base = name;
-  r.indexed = parse_indexed_name(name, r.base, r.lambda_p, r.lambda_n);
+  // No [0,1] check here: AN001 exists to report an out-of-range index,
+  // which NL005 would otherwise misread as an unknown cell.
+  r.indexed = util::split_indexed_cell_name(name, r.base, r.lambda_p, r.lambda_n);
   r.cell = library.find(name);
   r.exact = r.cell != nullptr;
   if (r.cell == nullptr && r.indexed) r.cell = library.find(r.base);

@@ -7,19 +7,11 @@
 /// in linter.hpp; this header is internal to src/lint.
 
 #include <string>
-#include <string_view>
 
 #include "liberty/library.hpp"
 #include "lint/linter.hpp"
 
 namespace rw::lint {
-
-/// Like `util::parse_indexed_cell_name` but without the [0,1] range check:
-/// lint must recognize `<base>_<λp>_<λn>` even — especially — when the
-/// indices are invalid, so AN001 can report the bad duty cycle instead of
-/// NL005 misreading the name as an unknown cell.
-bool parse_indexed_name(std::string_view name, std::string& base, double& lambda_p,
-                        double& lambda_n);
 
 /// How an instance's cell name maps onto the library.
 struct ResolvedCell {

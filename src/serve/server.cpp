@@ -38,6 +38,7 @@
 #include "util/atomic_file.hpp"
 #include "util/io.hpp"
 #include "util/json.hpp"
+#include "util/number.hpp"
 #include "util/proc_lease.hpp"
 #include "util/strings.hpp"
 #include "util/thread_pool.hpp"
@@ -52,22 +53,6 @@ double now_ms() {
   return std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-long env_long(const char* name, long fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  char* end = nullptr;
-  const long v = std::strtol(env, &end, 10);
-  return end == env ? fallback : v;
-}
-
-double env_double(const char* name, double fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(env, &end);
-  return end == env ? fallback : v;
 }
 
 /// SIGCHLD self-pipe: the handler may only write a byte; the poll loop sees
@@ -89,20 +74,20 @@ ServeOptions ServeOptions::from_env() {
   if (const char* env = std::getenv("RW_SERVE_SOCKET"); env != nullptr && *env != '\0') {
     o.socket_path = env;
   }
-  o.workers = static_cast<int>(env_long("RW_SERVE_WORKERS", o.workers));
+  o.workers = util::env_number("RW_SERVE_WORKERS", o.workers);
   if (o.workers < 1) o.workers = 1;
-  o.lease_ms = env_double("RW_SERVE_LEASE_MS", o.lease_ms);
-  o.queue_max = static_cast<int>(env_long("RW_SERVE_QUEUE_MAX", o.queue_max));
-  o.steal_interval_ms = env_double("RW_SERVE_STEAL_MS", o.steal_interval_ms);
-  o.spool_ttl_ms = env_double("RW_SERVE_SPOOL_TTL_MS", o.spool_ttl_ms);
-  o.op_max = static_cast<int>(env_long("RW_SERVE_OP_MAX", o.op_max));
+  o.lease_ms = util::env_number("RW_SERVE_LEASE_MS", o.lease_ms);
+  o.queue_max = util::env_number("RW_SERVE_QUEUE_MAX", o.queue_max);
+  o.steal_interval_ms = util::env_number("RW_SERVE_STEAL_MS", o.steal_interval_ms);
+  o.spool_ttl_ms = util::env_number("RW_SERVE_SPOOL_TTL_MS", o.spool_ttl_ms);
+  o.op_max = util::env_number("RW_SERVE_OP_MAX", o.op_max);
   if (o.op_max < 1) o.op_max = 1;
-  o.op_deadline_ms = env_double("RW_SERVE_OP_DEADLINE_MS", o.op_deadline_ms);
-  o.gc_max_age_ms = env_double("RW_SERVE_GC_MAX_AGE_MS", o.gc_max_age_ms);
-  o.chaos_kill_worker_after = env_long("RW_SERVE_CHAOS_KILL_AFTER_DISPATCH", 0);
-  o.chaos_exit_after = env_long("RW_SERVE_CHAOS_EXIT_AFTER_DISPATCH", 0);
-  o.chaos_hang_after = env_long("RW_SERVE_CHAOS_HANG_AFTER_DISPATCH", 0);
-  o.chaos_hang_ms = env_double("RW_SERVE_CHAOS_HANG_MS", 0.0);
+  o.op_deadline_ms = util::env_number("RW_SERVE_OP_DEADLINE_MS", o.op_deadline_ms);
+  o.gc_max_age_ms = util::env_number("RW_SERVE_GC_MAX_AGE_MS", o.gc_max_age_ms);
+  o.chaos_kill_worker_after = util::env_number<long>("RW_SERVE_CHAOS_KILL_AFTER_DISPATCH", 0);
+  o.chaos_exit_after = util::env_number<long>("RW_SERVE_CHAOS_EXIT_AFTER_DISPATCH", 0);
+  o.chaos_hang_after = util::env_number<long>("RW_SERVE_CHAOS_HANG_AFTER_DISPATCH", 0);
+  o.chaos_hang_ms = util::env_number("RW_SERVE_CHAOS_HANG_MS", 0.0);
   return o;
 }
 

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "util/number.hpp"
 #include "util/strings.hpp"
 
 namespace rw::spice {
@@ -102,12 +103,12 @@ void FaultInjector::arm_from_env(const char* spec) {
       if (value == "nan") action = Action::kNanResidual;
       if (value == "stall") action = Action::kStall;
     } else if (key == "stall_ms") {
-      const double ms = std::strtod(value.c_str(), nullptr);
-      if (ms > 0.0) set_stall_ms(ms);
+      double ms = 0.0;
+      if (util::parse_number(value, ms) && ms > 0.0) set_stall_ms(ms);
     } else if (key == "nth") {
-      nth = std::strtoull(value.c_str(), nullptr, 10);
+      util::parse_number(value, nth);
     } else if (key == "times") {
-      times = std::strtoull(value.c_str(), nullptr, 10);
+      util::parse_number(value, times);
     } else if (key == "match") {
       needle = value;
     }

@@ -15,6 +15,7 @@
 #include "spice/fault.hpp"
 #include "spice/stats.hpp"
 #include "spice/workspace.hpp"
+#include "util/number.hpp"
 #include "util/strings.hpp"
 
 namespace rw::spice {
@@ -22,14 +23,7 @@ namespace rw::spice {
 namespace {
 
 std::atomic<double>& watchdog_slot() {
-  static std::atomic<double> ms{[] {
-    if (const char* env = std::getenv("RW_SOLVE_WATCHDOG_MS"); env != nullptr && *env != '\0') {
-      char* end = nullptr;
-      const double v = std::strtod(env, &end);
-      if (end != env && v > 0.0) return v;
-    }
-    return 0.0;
-  }()};
+  static std::atomic<double> ms{std::max(0.0, util::env_number("RW_SOLVE_WATCHDOG_MS", 0.0))};
   return ms;
 }
 
@@ -41,11 +35,7 @@ void set_solve_watchdog_ms(double ms) { watchdog_slot().store(ms, std::memory_or
 
 RetryPolicy RetryPolicy::from_env() {
   RetryPolicy p;
-  if (const char* env = std::getenv("RW_CHAR_MAX_RETRIES"); env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const long n = std::strtol(env, &end, 10);
-    if (end != env && n >= 0) p.max_retries = static_cast<int>(n);
-  }
+  if (const int n = util::env_number("RW_CHAR_MAX_RETRIES", -1); n >= 0) p.max_retries = n;
   return p;
 }
 

@@ -1,8 +1,8 @@
 #include "stress/interval.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
+#include "util/number.hpp"
 #include "util/strings.hpp"
 
 namespace rw::stress {
@@ -21,26 +21,14 @@ std::string Interval::str() const {
   return "[" + util::format_fixed(lo, 4) + ", " + util::format_fixed(hi, 4) + "]";
 }
 
-namespace {
-
-/// The whole of `text` as one number.
-bool parse_number(std::string_view text, double& out) {
-  const std::string s(text);
-  char* end = nullptr;
-  out = std::strtod(s.c_str(), &end);
-  return !s.empty() && end == s.c_str() + s.size();
-}
-
-}  // namespace
-
 bool parse_interval(std::string_view text, Interval& out) {
   const auto colon = text.find(':');
   Interval v;
-  if (colon == std::string_view::npos || !parse_number(text.substr(0, colon), v.lo) ||
-      !parse_number(text.substr(colon + 1), v.hi)) {
+  if (colon == std::string_view::npos || !util::parse_number(text.substr(0, colon), v.lo) ||
+      !util::parse_number(text.substr(colon + 1), v.hi)) {
     return false;
   }
-  if (!(v.lo >= 0.0 && v.lo <= v.hi && v.hi <= 1.0)) return false;  // NaN fails too
+  if (!(v.lo >= 0.0 && v.lo <= v.hi && v.hi <= 1.0)) return false;
   out = v;
   return true;
 }

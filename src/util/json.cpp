@@ -29,6 +29,11 @@ bool Reader::fail(const std::string& what) {
   return false;
 }
 
+bool Reader::end() {
+  ws();
+  return i_ == s_.size() || fail("trailing bytes after the document");
+}
+
 bool Reader::enter(char open) {
   if (!consume(open)) return fail(std::string("expected '") + open + "'");
   if (++depth_ > kMaxDepth) {

@@ -90,6 +90,9 @@ class Reader {
     }
   }
 
+  /// True when nothing but whitespace is left after the document.
+  bool end();
+
   /// The first failure, with its offset ("" while none).
   [[nodiscard]] const std::string& error() const { return error_; }
 
@@ -111,12 +114,12 @@ class Reader {
   std::string error_;
 };
 
-/// Parses `text` as one object (see `Reader::object`); false with `error`
-/// set on malformed input.
+/// Parses `text` as one object (see `Reader::object`) and nothing after it
+/// but whitespace; false with `error` set on malformed input.
 template <typename Member>
 bool parse_object(const std::string& text, std::string& error, Member&& member) {
   Reader reader(text);
-  if (reader.object(member)) return true;
+  if (reader.object(member) && reader.end()) return true;
   error = reader.error();
   return false;
 }

@@ -1,7 +1,8 @@
 #include "util/strings.hpp"
 
 #include <cstdio>
-#include <cstdlib>
+
+#include "util/number.hpp"
 
 namespace rw::util {
 
@@ -48,26 +49,29 @@ std::string indexed_cell_name(std::string_view base, double lambda_p, double lam
   return name;
 }
 
-bool parse_indexed_cell_name(std::string_view name, std::string& base, double& lambda_p,
+bool split_indexed_cell_name(std::string_view name, std::string& base, double& lambda_p,
                              double& lambda_n) {
-  // Expect <base>_<d.dd>_<d.dd>; search from the end.
+  // Expect <base>_<num>_<num>; search from the end.
   const auto last = name.rfind('_');
   if (last == std::string_view::npos || last == 0) return false;
   const auto prev = name.rfind('_', last - 1);
   if (prev == std::string_view::npos || prev == 0) return false;
-  const std::string lp_str{name.substr(prev + 1, last - prev - 1)};
-  const std::string ln_str{name.substr(last + 1)};
-  char* end = nullptr;
-  const double lp = std::strtod(lp_str.c_str(), &end);
-  if (end == lp_str.c_str() || *end != '\0') return false;
-  end = nullptr;
-  const double ln = std::strtod(ln_str.c_str(), &end);
-  if (end == ln_str.c_str() || *end != '\0') return false;
-  if (lp < 0.0 || lp > 1.0 || ln < 0.0 || ln > 1.0) return false;
+  double lp = 0.0;
+  double ln = 0.0;
+  if (!parse_number(name.substr(prev + 1, last - prev - 1), lp) ||
+      !parse_number(name.substr(last + 1), ln)) {
+    return false;
+  }
   base = std::string{name.substr(0, prev)};
   lambda_p = lp;
   lambda_n = ln;
   return true;
+}
+
+bool parse_indexed_cell_name(std::string_view name, std::string& base, double& lambda_p,
+                             double& lambda_n) {
+  return split_indexed_cell_name(name, base, lambda_p, lambda_n) && lambda_p >= 0.0 &&
+         lambda_p <= 1.0 && lambda_n >= 0.0 && lambda_n <= 1.0;
 }
 
 void append_json_string(std::string& out, std::string_view text) {

@@ -26,8 +26,14 @@ std::string format_lambda(double lambda);
 /// Compose the merged-library cell name `<base>_<lp>_<ln>` (Section 4.1).
 std::string indexed_cell_name(std::string_view base, double lambda_p, double lambda_n);
 
-/// Parse an indexed cell name back into (base, λp, λn).
-/// Returns false when `name` carries no index (plain library cell).
+/// Split `<base>_<λp>_<λn>` into its parts, whatever the indices' range;
+/// both must be whole numbers in the `parse_number` sense. Returns false
+/// (outputs untouched) when `name` carries no index (plain library cell).
+bool split_indexed_cell_name(std::string_view name, std::string& base, double& lambda_p,
+                             double& lambda_n);
+
+/// `split_indexed_cell_name` restricted to indices in [0,1], the only ones a
+/// merged library holds. On false the outputs are unspecified.
 bool parse_indexed_cell_name(std::string_view name, std::string& base, double& lambda_p,
                              double& lambda_n);
 

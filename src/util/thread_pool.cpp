@@ -1,11 +1,13 @@
 #include "util/thread_pool.hpp"
 
 #include "flow/cancel.hpp"
+#include "util/number.hpp"
 
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <iostream>
 #include <limits>
 #include <memory>
 #include <string>
@@ -22,10 +24,7 @@ thread_local bool t_in_worker = false;
 }  // namespace
 
 std::size_t default_thread_count() {
-  if (const char* env = std::getenv("RW_THREADS"); env != nullptr && *env != '\0') {
-    const long n = std::strtol(env, nullptr, 10);
-    if (n > 0) return static_cast<std::size_t>(n);
-  }
+  if (const std::size_t n = env_number<std::size_t>("RW_THREADS", 0); n > 0) return n;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
 }
@@ -188,22 +187,28 @@ std::size_t consume_thread_flag(int& argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     const char* value = nullptr;
-    if (std::strcmp(arg, "--threads") == 0 && i + 1 < argc) {
+    if (std::strcmp(arg, "--threads") == 0) {
+      if (i + 1 == argc) usage_exit(argv[0], "--threads needs a value");
       value = argv[++i];
     } else if (std::strncmp(arg, "--threads=", 10) == 0) {
       value = arg + 10;
     }
-    if (value != nullptr) {
-      const long n = std::strtol(value, nullptr, 10);
-      if (n > 0) requested = static_cast<std::size_t>(n);
-      continue;
+    if (value == nullptr) {
+      argv[out++] = argv[i];
+    } else if (!parse_number(value, requested) || requested == 0) {
+      usage_exit(argv[0], "--threads wants a positive count");
     }
-    argv[out++] = argv[i];
   }
   argv[out] = nullptr;
   argc = out;
   if (requested > 0) set_shared_thread_count(requested);
   return requested;
+}
+
+void usage_exit(const char* program, const std::string& message) {
+  const std::string_view path = program;
+  std::cerr << path.substr(path.rfind('/') + 1) << ": " << message << "\n";
+  std::exit(kExitUsage);
 }
 
 }  // namespace rw::util

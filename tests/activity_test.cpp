@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
@@ -404,7 +405,10 @@ TEST(ActivityZeroWidth, DeterministicTogglingInputCollapsesBitwise) {
 // ------------------------------------------------------------------- CLI ----
 
 std::string run_cli(const std::string& args, int& exit_code) {
-  const std::string out_path = std::string(::testing::TempDir()) + "rwactivity_out.txt";
+  // Per process: the `cli`-labelled ctest entry runs these tests alongside
+  // the full binary.
+  const std::string out_path = std::string(::testing::TempDir()) + "rwactivity_out." +
+                               std::to_string(static_cast<long>(::getpid())) + ".txt";
   const std::string cmd =
       std::string(RWACTIVITY_BIN) + " " + args + " > " + out_path + " 2>&1";
   const int status = std::system(cmd.c_str());
@@ -469,6 +473,17 @@ TEST(RwactivityCli, UsageErrorsExitSixtyFour) {
   EXPECT_EQ(code, 64);
   run_cli("--threshold nope --lib x.lib y.v", code);
   EXPECT_EQ(code, 64);
+  const std::string fixture = "--lib " RW_REPO_DIR "/examples/fixtures/mini.lib " RW_REPO_DIR
+                              "/examples/fixtures/clean.v";
+  // Every numeric flag reads its whole value: trailing junk or a comma
+  // decimal is a usage error before any work, not a silently used prefix.
+  for (const char* flag : {"--clock 2x", "--clock 1,5", "--threshold 0.5x", "--threshold 0,5",
+                          "--iterations 3x", "--iterations 3,5", "--threads 4x", "--threads abc",
+                          "--threads 0", "--threads=4x"}) {
+    const std::string out = run_cli(std::string(flag) + " " + fixture, code);
+    EXPECT_EQ(code, 64) << flag << ": " << out;
+    EXPECT_EQ(out.find("module "), std::string::npos) << flag << ": " << out;
+  }
 }
 
 TEST(RwactivityCli, TrailingJunkInAnIntervalIsAUsageError) {

@@ -645,7 +645,10 @@ TEST(FlowPreflight, GuardbandFlowRefusesBrokenNetlist) {
 // End-to-end CLI: rwlint over the shipped fixtures (acceptance criteria).
 
 std::string run_cli(const std::string& args, int& exit_code) {
-  const std::string out_path = std::string(::testing::TempDir()) + "rwlint_out.txt";
+  // Per process: the `cli`-labelled ctest entry runs these tests alongside
+  // the full binary.
+  const std::string out_path = std::string(::testing::TempDir()) + "rwlint_out." +
+                               std::to_string(static_cast<long>(::getpid())) + ".txt";
   const std::string cmd = std::string(RWLINT_BIN) + " " + args + " > " + out_path + " 2>&1";
   const int status = std::system(cmd.c_str());
   exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
@@ -700,6 +703,15 @@ TEST(RwlintCli, UsageErrorsExit64) {
   EXPECT_EQ(exit_code, 64);
   run_cli("", exit_code);
   EXPECT_EQ(exit_code, 64);
+  const std::string fixture = "--lib " RW_REPO_DIR "/examples/fixtures/mini.lib " RW_REPO_DIR
+                              "/examples/fixtures/clean.v";
+  // Every numeric flag reads its whole value: trailing junk or a comma
+  // decimal is a usage error before any work, not a silently used prefix.
+  for (const char* flag : {"--threads 4x", "--threads abc", "--threads 0", "--threads=4x"}) {
+    const std::string out = run_cli(std::string(flag) + " " + fixture, exit_code);
+    EXPECT_EQ(exit_code, 64) << flag << ": " << out;
+    EXPECT_EQ(out.find("error(s)"), std::string::npos) << flag << ": " << out;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -299,7 +300,10 @@ TEST(ProveSoundness, SimulatedAgedDelayInsideProvenIntervalOnEveryBenchmark) {
 // ------------------------------------------------------------------- CLI ----
 
 std::string run_cli(const std::string& args, int& exit_code) {
-  const std::string out_path = std::string(::testing::TempDir()) + "rwprove_out.txt";
+  // Per process: the `cli`-labelled ctest entry runs these tests alongside
+  // the full binary.
+  const std::string out_path = std::string(::testing::TempDir()) + "rwprove_out." +
+                               std::to_string(static_cast<long>(::getpid())) + ".txt";
   const std::string cmd = std::string(RWPROVE_BIN) + " " + args + " > " + out_path + " 2>&1";
   const int status = std::system(cmd.c_str());
   exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
@@ -363,6 +367,19 @@ TEST(RwproveCli, UsageErrorsExitSixtyFour) {
   EXPECT_EQ(code, 64);
   run_cli("--guardband -3 --fresh x.lib --lib x.lib y.v", code);
   EXPECT_EQ(code, 64);
+  const std::string fixture = "--fresh " RW_REPO_DIR "/examples/fixtures/mini.lib "
+                              "--lib " RW_REPO_DIR "/examples/fixtures/proven.lib " RW_REPO_DIR
+                              "/examples/fixtures/clean.v";
+  // Every numeric flag reads its whole value: trailing junk or a comma
+  // decimal is a usage error before any work, not a silently used prefix.
+  for (const char* flag : {"--clock 0.5x", "--clock 0,5", "--iterations 3x", "--iterations 3,5",
+                          "--step 0.1x", "--step 0,1", "--guardband 12x", "--guardband 12,5",
+                          "--budget 3x", "--budget 3,5", "--threads 4x", "--threads abc",
+                          "--threads 0", "--threads=4x"}) {
+    const std::string out = run_cli(std::string(flag) + " " + fixture, code);
+    EXPECT_EQ(code, 64) << flag << ": " << out;
+    EXPECT_EQ(out.find("module "), std::string::npos) << flag << ": " << out;
+  }
 }
 
 TEST(RwproveCli, TrailingJunkInAnIntervalIsAUsageError) {

@@ -130,6 +130,8 @@ TEST_F(ResilienceTest, RetryPolicyReadsEnvKnob) {
   EXPECT_EQ(spice::RetryPolicy::from_env().max_retries, 0);
   ASSERT_EQ(setenv("RW_CHAR_MAX_RETRIES", "banana", 1), 0);
   EXPECT_EQ(spice::RetryPolicy::from_env().max_retries, 3);  // unparsable -> default
+  ASSERT_EQ(setenv("RW_CHAR_MAX_RETRIES", "5x", 1), 0);
+  EXPECT_EQ(spice::RetryPolicy::from_env().max_retries, 3);  // trailing junk -> default
   ASSERT_EQ(unsetenv("RW_CHAR_MAX_RETRIES"), 0);
   EXPECT_EQ(spice::RetryPolicy::from_env().max_retries, 3);
 }

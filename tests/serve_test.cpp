@@ -497,7 +497,7 @@ TEST_F(ServeTest, OverloadShedsBoundedlyAndTheDaemonStaysResponsive) {
   ::unlink(socket_path.c_str());
 }
 
-TEST_F(ServeTest, ADeeplyNestedRequestGetsAnErrorAndTheDaemonStaysUp) {
+TEST_F(ServeTest, ANestedOrConcatenatedFrameGetsABadRequestAndTheDaemonStaysUp) {
   const std::string dir = unique_dir("serve_nested");
   fs::remove_all(dir);
   fs::create_directories(dir);
@@ -517,19 +517,25 @@ TEST_F(ServeTest, ADeeplyNestedRequestGetsAnErrorAndTheDaemonStaysUp) {
     ASSERT_EQ(client.request(ping).status, "ok");  // the daemon is listening
   }
 
-  const int fd = util::io::connect_unix(socket_path);
-  ASSERT_GE(fd, 0);
-  ASSERT_TRUE(util::io::write_all(fd, deeply_nested_request(100000) + "\n"));
-  util::io::LineReader reader(fd);
-  std::string line;
-  ASSERT_EQ(reader.read_line(line, 10000), util::io::LineReader::Status::kLine)
-      << "the daemon died instead of answering";
-  ::close(fd);
-  serve::Response resp;
-  std::string error;
-  ASSERT_TRUE(serve::parse_response(line, resp, error)) << error;
-  EXPECT_EQ(resp.status, "error");
-  EXPECT_EQ(resp.error.rfind("bad request: ", 0), 0u) << resp.error;
+  // A frame nested past the bound, and a whole request followed by the
+  // start of another (a corrupted stream), each get a bad-request reply.
+  for (const std::string& frame :
+       {deeply_nested_request(100000),
+        std::string("{\"id\":\"x\",\"op\":\"ping\"}{\"id\":\"y\"} junk")}) {
+    const int fd = util::io::connect_unix(socket_path);
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(util::io::write_all(fd, frame + "\n"));
+    util::io::LineReader reader(fd);
+    std::string line;
+    ASSERT_EQ(reader.read_line(line, 10000), util::io::LineReader::Status::kLine)
+        << "the daemon died instead of answering";
+    ::close(fd);
+    serve::Response resp;
+    std::string error;
+    ASSERT_TRUE(serve::parse_response(line, resp, error)) << error;
+    EXPECT_EQ(resp.status, "error");
+    EXPECT_EQ(resp.error.rfind("bad request: ", 0), 0u) << resp.error;
+  }
 
   ping.id = "nested-ping-2";
   serve::ServeClient client(copt);

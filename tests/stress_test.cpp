@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -386,7 +387,10 @@ TEST(BoundedStatic, NarrowedInputsCannotWorsenTheGuardband) {
 // ------------------------------------------------------------------- CLI ----
 
 std::string run_cli(const std::string& args, int& exit_code) {
-  const std::string out_path = std::string(::testing::TempDir()) + "rwstress_out.txt";
+  // Per process: the `cli`-labelled ctest entry runs these tests alongside
+  // the full binary.
+  const std::string out_path = std::string(::testing::TempDir()) + "rwstress_out." +
+                               std::to_string(static_cast<long>(::getpid())) + ".txt";
   const std::string cmd = std::string(RWSTRESS_BIN) + " " + args + " > " + out_path + " 2>&1";
   const int status = std::system(cmd.c_str());
   exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
@@ -428,6 +432,16 @@ TEST(RwstressCli, UsageErrorsExitSixtyFour) {
   EXPECT_EQ(code, 64);
   run_cli("--default 0.9:0.1 --lib x.lib y.v", code);
   EXPECT_EQ(code, 64);
+  const std::string fixture = "--lib " RW_REPO_DIR "/examples/fixtures/mini.lib " RW_REPO_DIR
+                              "/examples/fixtures/clean.v";
+  // Every numeric flag reads its whole value: trailing junk or a comma
+  // decimal is a usage error before any work, not a silently used prefix.
+  for (const char* flag : {"--clock 0.5x", "--clock 0,5", "--iterations 3x", "--iterations 3,5",
+                          "--threads 4x", "--threads abc", "--threads 0", "--threads=4x"}) {
+    const std::string out = run_cli(std::string(flag) + " " + fixture, code);
+    EXPECT_EQ(code, 64) << flag << ": " << out;
+    EXPECT_EQ(out.find("module "), std::string::npos) << flag << ": " << out;
+  }
 }
 
 TEST(RwstressCli, TrailingJunkInAnIntervalIsAUsageError) {

@@ -157,12 +157,16 @@ TEST(ThreadPool, ConcurrentCallersShareThePool) {
 }
 
 TEST(ThreadPool, DefaultThreadCountHonorsEnv) {
+  ASSERT_EQ(unsetenv("RW_THREADS"), 0);
+  const std::size_t hardware = default_thread_count();
+  EXPECT_GE(hardware, 1u);
   ASSERT_EQ(setenv("RW_THREADS", "3", 1), 0);
   EXPECT_EQ(default_thread_count(), 3u);
-  ASSERT_EQ(setenv("RW_THREADS", "not-a-number", 1), 0);
-  EXPECT_GE(default_thread_count(), 1u);
+  for (const char* bad : {"not-a-number", "3x", "0", "-2", " 3"}) {
+    ASSERT_EQ(setenv("RW_THREADS", bad, 1), 0);
+    EXPECT_EQ(default_thread_count(), hardware) << "'" << bad << "'";
+  }
   ASSERT_EQ(unsetenv("RW_THREADS"), 0);
-  EXPECT_GE(default_thread_count(), 1u);
 }
 
 TEST(ThreadPool, ConsumeThreadFlagRemovesFlagAndKeepsPositionals) {

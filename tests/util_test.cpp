@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -23,6 +24,7 @@
 #include "util/interp.hpp"
 #include "util/io.hpp"
 #include "util/json.hpp"
+#include "util/number.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
@@ -161,6 +163,71 @@ TEST(Strings, ParseIndexedRejectsPlainNames) {
   EXPECT_FALSE(parse_indexed_cell_name("X", base, lp, ln));
 }
 
+TEST(Strings, SplitIndexedKeepsOutOfRangeIndicesThatParseRejects) {
+  std::string base = "untouched";
+  double lp = 0.0;
+  double ln = 0.0;
+  EXPECT_FALSE(parse_indexed_cell_name("INV_X1_1.50_-0.20", base, lp, ln));
+  ASSERT_TRUE(split_indexed_cell_name("INV_X1_1.50_-0.20", base, lp, ln));
+  EXPECT_EQ(base, "INV_X1");
+  EXPECT_DOUBLE_EQ(lp, 1.5);
+  EXPECT_DOUBLE_EQ(ln, -0.2);
+  base = "untouched";
+  for (const char* name : {"INV_X1_0.5x_0.5", "INV_X1_ 0.5_0.5", "INV_X1_0.5_inf", "INV_X1__0.5"}) {
+    EXPECT_FALSE(split_indexed_cell_name(name, base, lp, ln)) << name;
+  }
+  EXPECT_EQ(base, "untouched");
+}
+
+// ---------------------------------------------------------------------------
+// Whole-string number parser
+
+TEST(Number, ParsesWholeFiniteStringsOnly) {
+  double d = -7.0;
+  EXPECT_TRUE(parse_number("0.25", d));
+  EXPECT_EQ(d, 0.25);
+  EXPECT_TRUE(parse_number("1e3", d));
+  EXPECT_EQ(d, 1000.0);
+  EXPECT_TRUE(parse_number("-2.5", d));
+  EXPECT_EQ(d, -2.5);
+  for (const char* bad : {"", " 1", "1 ", "+1", "0.5x", "12,5", "0x10", "inf", "-inf", "nan",
+                          "1e999", "abc", "-"}) {
+    d = -7.0;
+    EXPECT_FALSE(parse_number(bad, d)) << "'" << bad << "'";
+    EXPECT_EQ(d, -7.0) << "'" << bad << "' clobbered the output";
+  }
+
+  int i = 0;
+  EXPECT_TRUE(parse_number("-12", i));
+  EXPECT_EQ(i, -12);
+  EXPECT_TRUE(parse_number("2147483647", i));
+  for (const char* bad : {"", " 4", "4x", "1e3", "0x10", "1.5", "2147483648", "+4"}) {
+    EXPECT_FALSE(parse_number(bad, i)) << "'" << bad << "'";
+  }
+
+  std::uint64_t u = 0;
+  EXPECT_TRUE(parse_number("18446744073709551615", u));
+  EXPECT_EQ(u, std::numeric_limits<std::uint64_t>::max());
+  for (const char* bad : {"-1", "18446744073709551616", "abc", ""}) {
+    EXPECT_FALSE(parse_number(bad, u)) << "'" << bad << "'";
+  }
+}
+
+TEST(Number, EnvNumberFallsBackOnUnsetEmptyOrMalformed) {
+  constexpr const char* kVar = "RW_UTIL_TEST_NUMBER";
+  ASSERT_EQ(unsetenv(kVar), 0);
+  EXPECT_EQ(env_number(kVar, 3), 3);
+  for (const char* bad : {"", "5x", "banana", " 5"}) {
+    ASSERT_EQ(setenv(kVar, bad, 1), 0);
+    EXPECT_EQ(env_number(kVar, 3), 3) << "'" << bad << "'";
+  }
+  ASSERT_EQ(setenv(kVar, "5", 1), 0);
+  EXPECT_EQ(env_number(kVar, 3), 5);
+  ASSERT_EQ(setenv(kVar, "0.5", 1), 0);
+  EXPECT_EQ(env_number(kVar, 1.0), 0.5);
+  ASSERT_EQ(unsetenv(kVar), 0);
+}
+
 // ---------------------------------------------------------------------------
 // JSON reader
 
@@ -223,7 +290,8 @@ TEST(Json, MalformedDocumentsFailWithAPositionedError) {
   };
   for (const char* doc : {"", "[]", "{", "{\"a\"}", "{\"a\":}", "{\"a\":1,}", "{\"a\":1 \"b\":2}",
                           "{\"a\":\"\\q\"}", "{\"a\":\"\\u12\"}", "{\"a\":\"\\u00g0\"}",
-                          "{\"a\":[1,]}", "{\"a\":tru}", "{\"a\":\"open}", "{1:2}"}) {
+                          "{\"a\":[1,]}", "{\"a\":tru}", "{\"a\":\"open}", "{1:2}",
+                          "{\"id\":\"x\",\"op\":\"ping\"}{\"id\":\"y\"} junk"}) {
     EXPECT_TRUE(reject(doc)) << doc;
   }
 }

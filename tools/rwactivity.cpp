@@ -20,14 +20,13 @@
 ///
 /// Output is deterministic and bitwise identical for any --threads value.
 
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "flow/cancel.hpp"
 #include "liberty/library.hpp"
-#include "liberty/parser.hpp"
 #include "lint/linter.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/verilog.hpp"
@@ -36,8 +35,6 @@
 #include "util/thread_pool.hpp"
 
 namespace {
-
-constexpr int kExitUsage = 64;
 
 void print_usage(std::ostream& os) {
   os << "usage: rwactivity [options] netlist.v\n"
@@ -64,115 +61,47 @@ struct Args {
   bool help = false;
 };
 
-bool parse_args(int argc, char** argv, Args& args) {
-  const auto need_value = [&](int& i, const char* flag) -> const char* {
-    if (i + 1 >= argc) {
-      std::cerr << "rwactivity: " << flag << " needs a value\n";
-      return nullptr;
-    }
-    return argv[++i];
-  };
-  const auto parse_net_interval = [&](const char* v, const char* flag,
-                                      rw::stress::Interval& interval, std::string& net) {
-    if (!rw::stress::parse_net_interval(v, net, interval)) {
-      std::cerr << "rwactivity: " << flag << " wants NET=LO:HI with 0 <= LO <= HI <= 1\n";
-      return false;
-    }
-    return true;
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--lib") {
-      const char* v = need_value(i, "--lib");
-      if (v == nullptr) return false;
-      args.lib_paths.emplace_back(v);
-    } else if (a == "--input") {
-      const char* v = need_value(i, "--input");
-      if (v == nullptr) return false;
-      rw::stress::Interval interval;
+Args parse_args(int argc, char** argv) {
+  Args args;
+  rw::cli::Cursor cur("rwactivity", argc, argv, print_usage);
+  while (cur.next()) {
+    if (cur.is("--lib")) {
+      args.lib_paths.emplace_back(cur.value());
+    } else if (cur.is("--density")) {
       std::string net;
-      if (!parse_net_interval(v, "--input", interval, net)) return false;
-      args.options.probability.input_intervals[net] = interval;
-    } else if (a == "--density") {
-      const char* v = need_value(i, "--density");
-      if (v == nullptr) return false;
-      rw::stress::Interval interval;
-      std::string net;
-      if (!parse_net_interval(v, "--density", interval, net)) return false;
-      args.options.input_densities[net] = interval;
-    } else if (a == "--default") {
-      const char* v = need_value(i, "--default");
-      if (v == nullptr) return false;
-      if (!rw::stress::parse_interval(v, args.options.probability.default_input)) {
-        std::cerr << "rwactivity: --default wants LO:HI with 0 <= LO <= HI <= 1\n";
-        return false;
+      rw::stress::Interval v;
+      if (!rw::stress::parse_net_interval(cur.value(), net, v)) {
+        cur.fail("--density wants NET=LO:HI with 0 <= LO <= HI <= 1");
       }
-    } else if (a == "--default-density") {
-      const char* v = need_value(i, "--default-density");
-      if (v == nullptr) return false;
-      rw::stress::Interval interval;
-      if (!rw::stress::parse_interval(v, interval)) {
-        std::cerr << "rwactivity: --default-density wants LO:HI with 0 <= LO <= HI <= 1\n";
-        return false;
+      args.options.input_densities[net] = v;
+    } else if (cur.is("--default-density")) {
+      rw::stress::Interval v;
+      if (!rw::stress::parse_interval(cur.value(), v)) {
+        cur.fail("--default-density wants LO:HI with 0 <= LO <= HI <= 1");
       }
-      args.options.default_input_density = interval;
-    } else if (a == "--clock") {
-      const char* v = need_value(i, "--clock");
-      if (v == nullptr) return false;
-      try {
-        args.options.clock_transitions = std::stod(v);
-      } catch (const std::exception&) {
-        args.options.clock_transitions = -1.0;
-      }
-      if (args.options.clock_transitions < 0.0) {
-        std::cerr << "rwactivity: --clock wants transitions/cycle >= 0\n";
-        return false;
-      }
-    } else if (a == "--threshold") {
-      const char* v = need_value(i, "--threshold");
-      if (v == nullptr) return false;
-      try {
-        args.threshold = std::stod(v);
-      } catch (const std::exception&) {
-        args.threshold = -1.0;
-      }
-      if (args.threshold < 0.0) {
-        std::cerr << "rwactivity: --threshold wants toggles/cycle >= 0\n";
-        return false;
-      }
-    } else if (a == "--iterations") {
-      const char* v = need_value(i, "--iterations");
-      if (v == nullptr) return false;
-      args.options.probability.max_iterations = std::atoi(v);
-      if (args.options.probability.max_iterations < 1) {
-        std::cerr << "rwactivity: --iterations wants a positive count\n";
-        return false;
-      }
-    } else if (a == "--format") {
-      const char* v = need_value(i, "--format");
-      if (v == nullptr) return false;
-      args.format = v;
-    } else if (a == "-h" || a == "--help") {
+      args.options.default_input_density = v;
+    } else if (cur.is("--clock")) {
+      args.options.clock_transitions =
+          cur.number<double>("transitions/cycle >= 0", rw::cli::non_negative);
+    } else if (rw::cli::stress_flag(cur, args.options.probability)) {
+      // --input, --default, --iterations
+    } else if (cur.is("--threshold")) {
+      args.threshold = cur.number<double>("toggles/cycle >= 0", rw::cli::non_negative);
+    } else if (cur.is("--format")) {
+      args.format = cur.value();
+    } else if (cur.is("-h") || cur.is("--help")) {
       args.help = true;
-    } else if (!a.empty() && a[0] == '-') {
-      std::cerr << "rwactivity: unknown flag " << a << "\n";
-      return false;
+    } else if (cur.flag()) {
+      cur.unknown();
     } else if (args.netlist.empty()) {
-      args.netlist = a;
+      args.netlist = cur.arg();
     } else {
-      std::cerr << "rwactivity: exactly one netlist per run\n";
-      return false;
+      cur.fail("exactly one netlist per run");
     }
   }
-  if (args.format != "text" && args.format != "json") {
-    std::cerr << "rwactivity: --format must be text or json\n";
-    return false;
-  }
-  if (!args.help && (args.netlist.empty() || args.lib_paths.empty())) {
-    print_usage(std::cerr);
-    return false;
-  }
-  return true;
+  if (args.format != "text" && args.format != "json") cur.fail("--format must be text or json");
+  if (!args.help && (args.netlist.empty() || args.lib_paths.empty())) cur.fail_with_usage("");
+  return args;
 }
 
 void append_interval_json(std::string& out, double lo, double hi) {
@@ -261,31 +190,13 @@ void print_text(const rw::netlist::Module& module, const rw::stress::ActivityRep
             << " info\n";
 }
 
-rw::lint::Diagnostic io_error(const std::string& path, const std::string& what) {
-  return rw::lint::Diagnostic{"IO001", rw::lint::Severity::kError, path, what,
-                              "fix the file or the flag pointing at it"};
-}
-
-int exit_code(const std::vector<rw::lint::Diagnostic>& diagnostics) {
-  switch (rw::lint::worst_severity(diagnostics)) {
-    case rw::lint::Severity::kError:
-      return 2;
-    case rw::lint::Severity::kWarning:
-      return 1;
-    case rw::lint::Severity::kInfo:
-      return 0;
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   rw::flow::install_signal_handlers();
   rw::flow::install_deadline_from_env();
   rw::util::consume_thread_flag(argc, argv);
-  Args args;
-  if (!parse_args(argc, argv, args)) return kExitUsage;
+  Args args = parse_args(argc, argv);
   if (args.help) {
     print_usage(std::cout);
     return 0;
@@ -293,28 +204,19 @@ int main(int argc, char** argv) {
 
   std::vector<rw::lint::Diagnostic> report;
   rw::liberty::Library pool("rwactivity_pool");
-  for (const auto& path : args.lib_paths) {
-    try {
-      const rw::liberty::Library lib = rw::liberty::parse_library_file(path);
-      for (const auto& cell : lib.cells()) {
-        if (pool.find(cell.name) == nullptr) pool.add_cell(cell);
-      }
-    } catch (const std::exception& e) {
-      report.push_back(io_error(path, e.what()));
-    }
-  }
+  rw::cli::pool_libraries(args.lib_paths, pool, report);
   if (!report.empty()) {
     std::cout << rw::lint::format_report(report);
-    return exit_code(report);
+    return rw::cli::exit_code(report);
   }
 
   rw::netlist::Module module("empty");
   try {
     module = rw::netlist::parse_verilog_file(args.netlist, pool, {.lenient = true});
   } catch (const std::exception& e) {
-    report.push_back(io_error(args.netlist, e.what()));
+    report.push_back(rw::cli::io_error(args.netlist, e.what()));
     std::cout << rw::lint::format_report(report);
-    return exit_code(report);
+    return rw::cli::exit_code(report);
   }
 
   // Full netlist lint (structural + SP + AC rules) with the declared input
@@ -342,5 +244,5 @@ int main(int argc, char** argv) {
   } else {
     print_text(module, activity, diagnostics);
   }
-  return exit_code(diagnostics);
+  return rw::cli::exit_code(diagnostics);
 }

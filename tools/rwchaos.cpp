@@ -28,18 +28,15 @@
 ///   RW_CHAOS_SEED=1337 rwchaos --seeds 5 --json-out BENCH_chaos.json
 
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
+#include "cli.hpp"
 #include "flow/cancel.hpp"
 #include "flow/chaos.hpp"
 #include "util/atomic_file.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
-
-constexpr int kExitUsage = 64;
 
 void print_usage(std::ostream& os) {
   os << "usage: rwchaos [options]\n"
@@ -63,51 +60,30 @@ struct Args {
   bool help = false;
 };
 
-bool parse_args(int argc, char** argv, Args& args) {
-  if (const char* env = std::getenv("RW_CHAOS_SEED"); env != nullptr && *env != '\0') {
-    args.base_seed = std::strtoull(env, nullptr, 10);
-  }
-  const auto need_value = [&](int& i, const char* flag) -> const char* {
-    if (i + 1 >= argc) {
-      std::cerr << "rwchaos: " << flag << " needs a value\n";
-      return nullptr;
-    }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "-h" || a == "--help") {
+Args parse_args(int argc, char** argv) {
+  Args args;
+  args.base_seed = rw::util::env_number("RW_CHAOS_SEED", args.base_seed);
+  rw::cli::Cursor cur("rwchaos", argc, argv, print_usage);
+  while (cur.next()) {
+    if (cur.is("-h") || cur.is("--help")) {
       args.help = true;
-    } else if (a == "--seeds") {
-      const char* v = need_value(i, "--seeds");
-      if (v == nullptr) return false;
-      args.seeds = std::atoi(v);
-      if (args.seeds <= 0) {
-        std::cerr << "rwchaos: --seeds must be positive\n";
-        return false;
-      }
-    } else if (a == "--seed") {
-      const char* v = need_value(i, "--seed");
-      if (v == nullptr) return false;
-      args.base_seed = std::strtoull(v, nullptr, 10);
-    } else if (a == "--dir") {
-      const char* v = need_value(i, "--dir");
-      if (v == nullptr) return false;
-      args.dir = v;
-    } else if (a == "--serve") {
+    } else if (cur.is("--seeds")) {
+      args.seeds = cur.number<int>("a positive count", rw::cli::positive);
+    } else if (cur.is("--seed")) {
+      args.base_seed = cur.number<std::uint64_t>("an unsigned integer");
+    } else if (cur.is("--dir")) {
+      args.dir = cur.value();
+    } else if (cur.is("--serve")) {
       args.serve = true;
-    } else if (a == "--serve-fleet") {
+    } else if (cur.is("--serve-fleet")) {
       args.fleet = true;
-    } else if (a == "--json-out") {
-      const char* v = need_value(i, "--json-out");
-      if (v == nullptr) return false;
-      args.json_out = v;
+    } else if (cur.is("--json-out")) {
+      args.json_out = cur.value();
     } else {
-      std::cerr << "rwchaos: unknown argument " << a << "\n";
-      return false;
+      cur.unknown();
     }
   }
-  return true;
+  return args;
 }
 
 }  // namespace
@@ -115,11 +91,7 @@ bool parse_args(int argc, char** argv, Args& args) {
 int main(int argc, char** argv) {
   rw::flow::install_signal_handlers();
   rw::flow::install_deadline_from_env();
-  Args args;
-  if (!parse_args(argc, argv, args)) {
-    print_usage(std::cerr);
-    return kExitUsage;
-  }
+  const Args args = parse_args(argc, argv);
   if (args.help) {
     print_usage(std::cout);
     return 0;

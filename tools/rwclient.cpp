@@ -27,6 +27,7 @@
 #include <sstream>
 #include <string>
 
+#include "cli.hpp"
 #include "flow/cancel.hpp"
 #include "serve/client.hpp"
 #include "util/atomic_file.hpp"
@@ -34,8 +35,6 @@
 #include "util/strings.hpp"
 
 namespace {
-
-constexpr int kExitUsage = 64;
 
 void print_usage(std::ostream& os) {
   os << "usage: rwclient --socket PATH OP [options]\n"
@@ -70,11 +69,14 @@ std::string default_id() {
 
 bool parse_corners(const std::string& text, rw::serve::Request& req) {
   for (const std::string& token : rw::util::split(text, ",")) {
-    const auto sep = token.find(':');
-    if (sep == std::string::npos) return false;
-    char* end = nullptr;
-    const double lp = std::strtod(token.c_str(), &end);
-    const double ln = std::strtod(token.c_str() + sep + 1, &end);
+    const std::string_view corner = token;
+    const auto sep = corner.find(':');
+    double lp = 0.0;
+    double ln = 0.0;
+    if (sep == std::string_view::npos || !rw::util::parse_number(corner.substr(0, sep), lp) ||
+        !rw::util::parse_number(corner.substr(sep + 1), ln)) {
+      return false;
+    }
     req.corners.push_back({lp, ln});
   }
   return !req.corners.empty();
@@ -98,90 +100,57 @@ int main(int argc, char** argv) {
   std::string corners_text;
   std::string netlist_path;
 
-  const auto need_value = [&](int& i, const char* flag) -> const char* {
-    if (i + 1 >= argc) {
-      std::cerr << "rwclient: " << flag << " needs a value\n";
-      return nullptr;
-    }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    const char* v = nullptr;
-    if (a == "-h" || a == "--help") {
+  rw::cli::Cursor cur("rwclient", argc, argv, print_usage);
+  while (cur.next()) {
+    if (cur.is("-h") || cur.is("--help")) {
       print_usage(std::cout);
       return 0;
-    } else if (a == "--socket") {
-      if ((v = need_value(i, "--socket")) == nullptr) return kExitUsage;
-      client_options.socket_path = v;
-    } else if (a == "--id") {
-      if ((v = need_value(i, "--id")) == nullptr) return kExitUsage;
-      req.id = v;
-    } else if (a == "--cell") {
-      if ((v = need_value(i, "--cell")) == nullptr) return kExitUsage;
-      req.cell = v;
-    } else if (a == "--lp") {
-      if ((v = need_value(i, "--lp")) == nullptr) return kExitUsage;
-      req.lambda_p = std::atof(v);
-    } else if (a == "--ln") {
-      if ((v = need_value(i, "--ln")) == nullptr) return kExitUsage;
-      req.lambda_n = std::atof(v);
-    } else if (a == "--years") {
-      if ((v = need_value(i, "--years")) == nullptr) return kExitUsage;
-      req.years = std::atof(v);
-    } else if (a == "--no-mobility") {
+    } else if (cur.is("--socket")) {
+      client_options.socket_path = cur.value();
+    } else if (cur.is("--id")) {
+      req.id = cur.value();
+    } else if (cur.is("--cell")) {
+      req.cell = cur.value();
+    } else if (cur.is("--lp")) {
+      req.lambda_p = cur.number<double>("a duty cycle");
+    } else if (cur.is("--ln")) {
+      req.lambda_n = cur.number<double>("a duty cycle");
+    } else if (cur.is("--years")) {
+      req.years = cur.number<double>("a lifetime in years");
+    } else if (cur.is("--no-mobility")) {
       req.include_mobility = false;
-    } else if (a == "--corners") {
-      if ((v = need_value(i, "--corners")) == nullptr) return kExitUsage;
-      corners_text = v;
-    } else if (a == "--netlist") {
-      if ((v = need_value(i, "--netlist")) == nullptr) return kExitUsage;
-      netlist_path = v;
-    } else if (a == "--guardband") {
-      if ((v = need_value(i, "--guardband")) == nullptr) return kExitUsage;
-      req.guardband_ps = std::atof(v);
-    } else if (a == "--deadline-ms") {
-      if ((v = need_value(i, "--deadline-ms")) == nullptr) return kExitUsage;
-      req.deadline_ms = std::atof(v);
-    } else if (a == "--max-age-ms") {
-      if ((v = need_value(i, "--max-age-ms")) == nullptr) return kExitUsage;
-      req.max_age_ms = std::atof(v);
-    } else if (a == "--out") {
-      if ((v = need_value(i, "--out")) == nullptr) return kExitUsage;
-      out_path = v;
-    } else if (a == "--timeout-ms") {
-      if ((v = need_value(i, "--timeout-ms")) == nullptr) return kExitUsage;
-      client_options.timeout_ms = std::atoi(v);
-    } else if (a == "--attempts") {
-      if ((v = need_value(i, "--attempts")) == nullptr) return kExitUsage;
-      client_options.max_attempts = std::atoi(v);
-    } else if (!a.empty() && a[0] != '-' && req.op.empty()) {
-      req.op = a;
+    } else if (cur.is("--corners")) {
+      corners_text = cur.value();
+    } else if (cur.is("--netlist")) {
+      netlist_path = cur.value();
+    } else if (cur.is("--guardband")) {
+      req.guardband_ps = cur.number<double>("a value in ps");
+    } else if (cur.is("--deadline-ms")) {
+      req.deadline_ms = cur.number<double>("milliseconds");
+    } else if (cur.is("--max-age-ms")) {
+      req.max_age_ms = cur.number<double>("milliseconds");
+    } else if (cur.is("--out")) {
+      out_path = cur.value();
+    } else if (cur.is("--timeout-ms")) {
+      client_options.timeout_ms = cur.number<int>("milliseconds");
+    } else if (cur.is("--attempts")) {
+      client_options.max_attempts = cur.number<int>("a count");
+    } else if (!cur.flag() && req.op.empty()) {
+      req.op = cur.arg();
     } else {
-      std::cerr << "rwclient: unknown argument " << a << "\n";
-      print_usage(std::cerr);
-      return kExitUsage;
+      cur.unknown();
     }
   }
 
   if (client_options.socket_path.empty() || req.op.empty()) {
-    std::cerr << "rwclient: --socket and an OP are required\n";
-    print_usage(std::cerr);
-    return kExitUsage;
+    cur.fail_with_usage("--socket and an OP are required");
   }
-  if (req.op == "characterize" && req.cell.empty()) {
-    std::cerr << "rwclient: characterize needs --cell\n";
-    return kExitUsage;
-  }
+  if (req.op == "characterize" && req.cell.empty()) cur.fail("characterize needs --cell");
   if (req.op == "merged" && !parse_corners(corners_text, req)) {
-    std::cerr << "rwclient: merged needs --corners LP:LN,...\n";
-    return kExitUsage;
+    cur.fail("merged needs --corners LP:LN,...");
   }
   if (req.op == "prove" || req.op == "guardband") {
-    if (netlist_path.empty()) {
-      std::cerr << "rwclient: " << req.op << " needs --netlist PATH\n";
-      return kExitUsage;
-    }
+    if (netlist_path.empty()) cur.fail(req.op + " needs --netlist PATH");
     std::ifstream in(netlist_path, std::ios::binary);
     if (!in) {
       std::cerr << "rwclient: cannot read " << netlist_path << "\n";

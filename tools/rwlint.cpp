@@ -15,13 +15,13 @@
 ///   rwlint --format json --lib fresh.lib --grid 7x7 design.v
 ///   rwlint --fresh fresh.lib --lib aged10y.lib          # library-only lint
 
-#include <cstring>
 #include <iostream>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "charlib/opc.hpp"
+#include "cli.hpp"
 #include "flow/orchestrator.hpp"
 #include "liberty/library.hpp"
 #include "liberty/parser.hpp"
@@ -33,8 +33,6 @@
 #include "util/thread_pool.hpp"
 
 namespace {
-
-constexpr int kExitUsage = 64;
 
 void print_usage(std::ostream& os) {
   os << "usage: rwlint [options] [netlist.v ...]\n"
@@ -69,7 +67,7 @@ int explain_rule(const std::string& id) {
   const rw::lint::RuleInfo* info = rw::lint::find_rule_info(id);
   if (info == nullptr) {
     std::cerr << "rwlint: unknown rule id '" << id << "' (see --list-rules)\n";
-    return kExitUsage;
+    return rw::util::kExitUsage;
   }
   std::cout << info->id << " (" << rw::lint::to_string(info->severity) << "): " << info->summary
             << "\n  fix: " << info->fix_hint << "\n";
@@ -91,90 +89,53 @@ struct Args {
   bool help = false;
 };
 
-bool parse_args(int argc, char** argv, Args& args) {
-  const auto need_value = [&](int& i, const char* flag) -> const char* {
-    if (i + 1 >= argc) {
-      std::cerr << "rwlint: " << flag << " needs a value\n";
-      return nullptr;
-    }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--lib") {
-      const char* v = need_value(i, "--lib");
-      if (v == nullptr) return false;
-      args.lib_paths.emplace_back(v);
-    } else if (a == "--fresh") {
-      const char* v = need_value(i, "--fresh");
-      if (v == nullptr) return false;
-      args.fresh_path = v;
-    } else if (a == "--grid") {
-      const char* v = need_value(i, "--grid");
-      if (v == nullptr) return false;
-      args.grid = v;
-    } else if (a == "--flow-manifest") {
-      const char* v = need_value(i, "--flow-manifest");
-      if (v == nullptr) return false;
-      args.flow_manifests.emplace_back(v);
-    } else if (a == "--cache-dir") {
-      const char* v = need_value(i, "--cache-dir");
-      if (v == nullptr) return false;
-      args.cache_dir = v;
-    } else if (a == "--format") {
-      const char* v = need_value(i, "--format");
-      if (v == nullptr) return false;
-      args.format = v;
-    } else if (a == "--baseline") {
-      const char* v = need_value(i, "--baseline");
-      if (v == nullptr) return false;
-      args.baseline = v;
-    } else if (a == "--update-baseline") {
+Args parse_args(int argc, char** argv) {
+  Args args;
+  rw::cli::Cursor cur("rwlint", argc, argv, print_usage);
+  while (cur.next()) {
+    if (cur.is("--lib")) {
+      args.lib_paths.emplace_back(cur.value());
+    } else if (cur.is("--fresh")) {
+      args.fresh_path = cur.value();
+    } else if (cur.is("--grid")) {
+      args.grid = cur.value();
+    } else if (cur.is("--flow-manifest")) {
+      args.flow_manifests.emplace_back(cur.value());
+    } else if (cur.is("--cache-dir")) {
+      args.cache_dir = cur.value();
+    } else if (cur.is("--format")) {
+      args.format = cur.value();
+    } else if (cur.is("--baseline")) {
+      args.baseline = cur.value();
+    } else if (cur.is("--update-baseline")) {
       args.update_baseline = true;
-    } else if (a == "--list-rules") {
+    } else if (cur.is("--list-rules")) {
       args.list = true;
-    } else if (a == "--explain") {
-      const char* v = need_value(i, "--explain");
-      if (v == nullptr) return false;
-      args.explain = v;
-    } else if (a == "-h" || a == "--help") {
+    } else if (cur.is("--explain")) {
+      args.explain = cur.value();
+    } else if (cur.is("-h") || cur.is("--help")) {
       args.help = true;
-    } else if (!a.empty() && a[0] == '-') {
-      std::cerr << "rwlint: unknown flag " << a << "\n";
-      return false;
+    } else if (cur.flag()) {
+      cur.unknown();
     } else {
-      args.netlists.push_back(a);
+      args.netlists.push_back(cur.arg());
     }
   }
-  if (args.format != "text" && args.format != "json") {
-    std::cerr << "rwlint: --format must be text or json\n";
-    return false;
-  }
+  if (args.format != "text" && args.format != "json") cur.fail("--format must be text or json");
   if (!args.grid.empty() && args.grid != "7x7" && args.grid != "3x3" && args.grid != "none") {
-    std::cerr << "rwlint: --grid must be 7x7, 3x3, or none\n";
-    return false;
+    cur.fail("--grid must be 7x7, 3x3, or none");
   }
   if (args.update_baseline && args.baseline.empty()) {
-    std::cerr << "rwlint: --update-baseline needs --baseline FILE\n";
-    return false;
+    cur.fail("--update-baseline needs --baseline FILE");
   }
   if (!args.netlists.empty() && args.lib_paths.empty()) {
-    std::cerr << "rwlint: netlists need at least one --lib to resolve cells\n";
-    return false;
+    cur.fail("netlists need at least one --lib to resolve cells");
   }
   if (args.netlists.empty() && args.lib_paths.empty() && args.flow_manifests.empty() &&
       args.cache_dir.empty() && !args.list && !args.help && args.explain.empty()) {
-    print_usage(std::cerr);
-    return false;
+    cur.fail_with_usage("");
   }
-  return true;
-}
-
-/// File-level failures (unreadable, unparsable) become diagnostics so the
-/// report — and the JSON output — stays complete and well-formed.
-rw::lint::Diagnostic io_error(const std::string& path, const std::string& what) {
-  return rw::lint::Diagnostic{"IO001", rw::lint::Severity::kError, path, what,
-                              "fix the file or the flag pointing at it"};
+  return args;
 }
 
 }  // namespace
@@ -183,8 +144,7 @@ int main(int argc, char** argv) {
   rw::flow::install_signal_handlers();
   rw::flow::install_deadline_from_env();
   rw::util::consume_thread_flag(argc, argv);
-  Args args;
-  if (!parse_args(argc, argv, args)) return kExitUsage;
+  Args args = parse_args(argc, argv);
   if (args.help) {
     print_usage(std::cout);
     return 0;
@@ -217,7 +177,7 @@ int main(int argc, char** argv) {
       fresh = rw::liberty::parse_library_file(args.fresh_path);
       have_fresh = true;
     } catch (const std::exception& e) {
-      report.push_back(io_error(args.fresh_path, e.what()));
+      report.push_back(rw::cli::io_error(args.fresh_path, e.what()));
     }
   }
 
@@ -226,30 +186,21 @@ int main(int argc, char** argv) {
   // netlists' cell references.
   const rw::lint::Linter lib_linter = rw::lint::Linter::library_linter();
   rw::liberty::Library pool("rwlint_pool");
-  if (have_fresh) {
+  const auto lint_library = [&](const rw::liberty::Library& lib,
+                                const rw::liberty::Library* against) {
     rw::lint::LintSubject subject;
-    subject.library = &fresh;
+    subject.library = &lib;
+    subject.fresh = against;
     subject.expected_grid = expected_grid;
     append(lib_linter.run(subject));
-    for (const auto& cell : fresh.cells()) {
-      if (pool.find(cell.name) == nullptr) pool.add_cell(cell);
-    }
+  };
+  if (have_fresh) {
+    lint_library(fresh, nullptr);
+    rw::cli::add_cells(pool, fresh);
   }
-  for (const auto& path : args.lib_paths) {
-    try {
-      const rw::liberty::Library lib = rw::liberty::parse_library_file(path);
-      rw::lint::LintSubject subject;
-      subject.library = &lib;
-      subject.fresh = have_fresh ? &fresh : nullptr;
-      subject.expected_grid = expected_grid;
-      append(lib_linter.run(subject));
-      for (const auto& cell : lib.cells()) {
-        if (pool.find(cell.name) == nullptr) pool.add_cell(cell);
-      }
-    } catch (const std::exception& e) {
-      report.push_back(io_error(path, e.what()));
-    }
-  }
+  rw::cli::pool_libraries(args.lib_paths, pool, report, [&](const rw::liberty::Library& lib) {
+    lint_library(lib, have_fresh ? &fresh : nullptr);
+  });
 
   const rw::lint::Linter netlist_linter = rw::lint::Linter::netlist_linter();
   for (const auto& path : args.netlists) {
@@ -261,7 +212,7 @@ int main(int argc, char** argv) {
       subject.library = &pool;
       append(netlist_linter.run(subject));
     } catch (const std::exception& e) {
-      report.push_back(io_error(path, e.what()));
+      report.push_back(rw::cli::io_error(path, e.what()));
     }
   }
 
@@ -290,7 +241,7 @@ int main(int argc, char** argv) {
     } else {
       if (!rw::util::write_file_atomic_nothrow(args.baseline,
                                                rw::lint::encode_baseline(report))) {
-        report.push_back(io_error(args.baseline, "cannot write baseline file"));
+        report.push_back(rw::cli::io_error(args.baseline, "cannot write baseline file"));
       } else {
         std::cerr << "rwlint: recorded " << report.size() << " finding(s) to baseline "
                   << args.baseline << "\n";
@@ -310,13 +261,5 @@ int main(int argc, char** argv) {
     if (suppressed != 0) std::cout << ", " << suppressed << " suppressed by baseline";
     std::cout << "\n";
   }
-  switch (rw::lint::worst_severity(report)) {
-    case rw::lint::Severity::kError:
-      return 2;
-    case rw::lint::Severity::kWarning:
-      return 1;
-    case rw::lint::Severity::kInfo:
-      return 0;
-  }
-  return 0;
+  return rw::cli::exit_code(report);
 }

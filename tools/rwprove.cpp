@@ -22,12 +22,12 @@
 ///
 /// Output is deterministic and bitwise identical for any --threads value.
 
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "charlib/interval_query.hpp"
+#include "cli.hpp"
 #include "flow/cancel.hpp"
 #include "liberty/library.hpp"
 #include "liberty/parser.hpp"
@@ -41,8 +41,6 @@
 #include "util/thread_pool.hpp"
 
 namespace {
-
-constexpr int kExitUsage = 64;
 
 void print_usage(std::ostream& os) {
   os << "usage: rwprove [options] netlist.v\n"
@@ -73,113 +71,38 @@ struct Args {
   bool help = false;
 };
 
-bool parse_double(const char* text, double& out) {
-  try {
-    out = std::stod(text);
-  } catch (const std::exception&) {
-    return false;
-  }
-  return true;
-}
-
-bool parse_args(int argc, char** argv, Args& args) {
-  const auto need_value = [&](int& i, const char* flag) -> const char* {
-    if (i + 1 >= argc) {
-      std::cerr << "rwprove: " << flag << " needs a value\n";
-      return nullptr;
-    }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--fresh") {
-      const char* v = need_value(i, "--fresh");
-      if (v == nullptr) return false;
-      args.fresh_path = v;
-    } else if (a == "--lib") {
-      const char* v = need_value(i, "--lib");
-      if (v == nullptr) return false;
-      args.lib_paths.emplace_back(v);
-    } else if (a == "--input") {
-      const char* v = need_value(i, "--input");
-      if (v == nullptr) return false;
-      std::string net;
-      rw::stress::Interval interval;
-      if (!rw::stress::parse_net_interval(v, net, interval)) {
-        std::cerr << "rwprove: --input wants NET=LO:HI with 0 <= LO <= HI <= 1\n";
-        return false;
-      }
-      args.stress.input_intervals[net] = interval;
-    } else if (a == "--default") {
-      const char* v = need_value(i, "--default");
-      if (v == nullptr) return false;
-      if (!rw::stress::parse_interval(v, args.stress.default_input)) {
-        std::cerr << "rwprove: --default wants LO:HI with 0 <= LO <= HI <= 1\n";
-        return false;
-      }
-    } else if (a == "--clock") {
-      const char* v = need_value(i, "--clock");
-      if (v == nullptr) return false;
-      if (!parse_double(v, args.stress.clock_probability) ||
-          args.stress.clock_probability < 0.0 || args.stress.clock_probability > 1.0) {
-        std::cerr << "rwprove: --clock wants a probability in [0,1]\n";
-        return false;
-      }
-    } else if (a == "--iterations") {
-      const char* v = need_value(i, "--iterations");
-      if (v == nullptr) return false;
-      args.stress.max_iterations = std::atoi(v);
-      if (args.stress.max_iterations < 1) {
-        std::cerr << "rwprove: --iterations wants a positive count\n";
-        return false;
-      }
-    } else if (a == "--step") {
-      const char* v = need_value(i, "--step");
-      if (v == nullptr) return false;
-      if (!parse_double(v, args.lambda_step) || args.lambda_step <= 0.0 ||
-          args.lambda_step > 1.0) {
-        std::cerr << "rwprove: --step wants a value in (0,1]\n";
-        return false;
-      }
-    } else if (a == "--guardband") {
-      const char* v = need_value(i, "--guardband");
-      if (v == nullptr) return false;
-      if (!parse_double(v, args.guardband_ps) || args.guardband_ps < 0.0) {
-        std::cerr << "rwprove: --guardband wants a non-negative value in ps\n";
-        return false;
-      }
-    } else if (a == "--budget") {
-      const char* v = need_value(i, "--budget");
-      if (v == nullptr) return false;
-      if (!parse_double(v, args.budget_ps) || args.budget_ps < 0.0) {
-        std::cerr << "rwprove: --budget wants a non-negative value in ps\n";
-        return false;
-      }
-    } else if (a == "--format") {
-      const char* v = need_value(i, "--format");
-      if (v == nullptr) return false;
-      args.format = v;
-    } else if (a == "-h" || a == "--help") {
+Args parse_args(int argc, char** argv) {
+  Args args;
+  rw::cli::Cursor cur("rwprove", argc, argv, print_usage);
+  while (cur.next()) {
+    if (cur.is("--fresh")) {
+      args.fresh_path = cur.value();
+    } else if (cur.is("--lib")) {
+      args.lib_paths.emplace_back(cur.value());
+    } else if (rw::cli::stress_flag(cur, args.stress)) {
+      // --input, --default, --clock, --iterations
+    } else if (cur.is("--step")) {
+      args.lambda_step =
+          cur.number<double>("a value in (0,1]", [](double v) { return v > 0.0 && v <= 1.0; });
+    } else if (cur.is("--guardband")) {
+      args.guardband_ps = cur.number<double>("a non-negative value in ps", rw::cli::non_negative);
+    } else if (cur.is("--budget")) {
+      args.budget_ps = cur.number<double>("a non-negative value in ps", rw::cli::non_negative);
+    } else if (cur.is("--format")) {
+      args.format = cur.value();
+    } else if (cur.is("-h") || cur.is("--help")) {
       args.help = true;
-    } else if (!a.empty() && a[0] == '-') {
-      std::cerr << "rwprove: unknown flag " << a << "\n";
-      return false;
+    } else if (cur.flag()) {
+      cur.unknown();
     } else if (args.netlist.empty()) {
-      args.netlist = a;
+      args.netlist = cur.arg();
     } else {
-      std::cerr << "rwprove: exactly one netlist per run\n";
-      return false;
+      cur.fail("exactly one netlist per run");
     }
   }
-  if (args.format != "text" && args.format != "json") {
-    std::cerr << "rwprove: --format must be text or json\n";
-    return false;
-  }
-  if (!args.help && (args.netlist.empty() || args.fresh_path.empty())) {
-    print_usage(std::cerr);
-    return false;
-  }
-  return true;
+  if (args.format != "text" && args.format != "json") cur.fail("--format must be text or json");
+  if (!args.help && (args.netlist.empty() || args.fresh_path.empty())) cur.fail_with_usage("");
+  return args;
 }
 
 void append_real_interval_json(std::string& out, const rw::stress::RealInterval& v) {
@@ -274,31 +197,13 @@ void print_text(const rw::netlist::Module& module, const rw::sta::IntervalSta& i
             << " info\n";
 }
 
-rw::lint::Diagnostic io_error(const std::string& path, const std::string& what) {
-  return rw::lint::Diagnostic{"IO001", rw::lint::Severity::kError, path, what,
-                              "fix the file or the flag pointing at it"};
-}
-
-int exit_code(const std::vector<rw::lint::Diagnostic>& diagnostics) {
-  switch (rw::lint::worst_severity(diagnostics)) {
-    case rw::lint::Severity::kError:
-      return 2;
-    case rw::lint::Severity::kWarning:
-      return 1;
-    case rw::lint::Severity::kInfo:
-      return 0;
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   rw::flow::install_signal_handlers();
   rw::flow::install_deadline_from_env();
   rw::util::consume_thread_flag(argc, argv);
-  Args args;
-  if (!parse_args(argc, argv, args)) return kExitUsage;
+  Args args = parse_args(argc, argv);
   if (args.help) {
     print_usage(std::cout);
     return 0;
@@ -309,32 +214,23 @@ int main(int argc, char** argv) {
   try {
     fresh = rw::liberty::parse_library_file(args.fresh_path);
   } catch (const std::exception& e) {
-    report.push_back(io_error(args.fresh_path, e.what()));
+    report.push_back(rw::cli::io_error(args.fresh_path, e.what()));
   }
   // λ-indexed corner cells, pooled across every --lib.
   rw::liberty::Library corners_pool("rwprove_corners");
-  for (const auto& path : args.lib_paths) {
-    try {
-      const rw::liberty::Library lib = rw::liberty::parse_library_file(path);
-      for (const auto& cell : lib.cells()) {
-        if (corners_pool.find(cell.name) == nullptr) corners_pool.add_cell(cell);
-      }
-    } catch (const std::exception& e) {
-      report.push_back(io_error(path, e.what()));
-    }
-  }
+  rw::cli::pool_libraries(args.lib_paths, corners_pool, report);
   if (!report.empty()) {
     std::cout << rw::lint::format_report(report);
-    return exit_code(report);
+    return rw::cli::exit_code(report);
   }
 
   rw::netlist::Module module("empty");
   try {
     module = rw::netlist::parse_verilog_file(args.netlist, fresh, {.lenient = true});
   } catch (const std::exception& e) {
-    report.push_back(io_error(args.netlist, e.what()));
+    report.push_back(rw::cli::io_error(args.netlist, e.what()));
     std::cout << rw::lint::format_report(report);
-    return exit_code(report);
+    return rw::cli::exit_code(report);
   }
 
   // Structural + annotation + SP pre-flight against the fresh library; the
@@ -348,7 +244,7 @@ int main(int argc, char** argv) {
       rw::lint::Linter::netlist_linter().run(subject);
   if (rw::lint::worst_severity(diagnostics) >= rw::lint::Severity::kError) {
     std::cout << rw::lint::format_report(diagnostics);
-    return exit_code(diagnostics);
+    return rw::cli::exit_code(diagnostics);
   }
 
   try {
@@ -377,7 +273,7 @@ int main(int argc, char** argv) {
     } else {
       print_text(module, ista, summary, diagnostics, have_guardband, certified);
     }
-    return exit_code(diagnostics);
+    return rw::cli::exit_code(diagnostics);
   } catch (const std::exception& e) {
     std::cout << rw::lint::format_report(diagnostics);
     std::cerr << "rwprove: " << e.what() << "\n";

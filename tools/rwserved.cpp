@@ -16,19 +16,17 @@
 ///   RW_SERVE_WORKERS=8 RW_SERVE_LEASE_MS=60000 rwserved --socket /tmp/rw.sock
 ///   rwserved --gc --cache ~/.cache/reliaware --gc-max-age-ms 86400000
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
 #include "charlib/opc.hpp"
+#include "cli.hpp"
 #include "flow/cancel.hpp"
 #include "serve/gc.hpp"
 #include "serve/server.hpp"
 #include "util/strings.hpp"
 
 namespace {
-
-constexpr int kExitUsage = 64;
 
 void print_usage(std::ostream& os) {
   os << "usage: rwserved --socket PATH [options]\n"
@@ -62,93 +60,58 @@ int main(int argc, char** argv) {
   rw::serve::ServeOptions options = rw::serve::ServeOptions::from_env();
   bool gc_oneshot = false;
   bool gc_dry_run = false;
-  const auto need_value = [&](int& i, const char* flag) -> const char* {
-    if (i + 1 >= argc) {
-      std::cerr << "rwserved: " << flag << " needs a value\n";
-      return nullptr;
-    }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    const char* v = nullptr;
-    if (a == "-h" || a == "--help") {
+  rw::cli::Cursor cur("rwserved", argc, argv, print_usage);
+  while (cur.next()) {
+    if (cur.is("-h") || cur.is("--help")) {
       print_usage(std::cout);
       return 0;
-    } else if (a == "--socket") {
-      if ((v = need_value(i, "--socket")) == nullptr) return kExitUsage;
-      options.socket_path = v;
-    } else if (a == "--cache") {
-      if ((v = need_value(i, "--cache")) == nullptr) return kExitUsage;
-      options.factory.cache_dir = v;
-    } else if (a == "--workers") {
-      if ((v = need_value(i, "--workers")) == nullptr) return kExitUsage;
-      options.workers = std::atoi(v);
-      if (options.workers < 1) {
-        std::cerr << "rwserved: --workers must be >= 1\n";
-        return kExitUsage;
-      }
-    } else if (a == "--lease-ms") {
-      if ((v = need_value(i, "--lease-ms")) == nullptr) return kExitUsage;
-      options.lease_ms = std::atof(v);
-    } else if (a == "--queue-max") {
-      if ((v = need_value(i, "--queue-max")) == nullptr) return kExitUsage;
-      options.queue_max = std::atoi(v);
-    } else if (a == "--grid") {
-      if ((v = need_value(i, "--grid")) == nullptr) return kExitUsage;
-      const std::string grid = v;
+    } else if (cur.is("--socket")) {
+      options.socket_path = cur.value();
+    } else if (cur.is("--cache")) {
+      options.factory.cache_dir = cur.value();
+    } else if (cur.is("--workers")) {
+      options.workers = cur.number<int>("a count >= 1", rw::cli::positive);
+    } else if (cur.is("--lease-ms")) {
+      options.lease_ms = cur.number<double>("milliseconds");
+    } else if (cur.is("--queue-max")) {
+      options.queue_max = cur.number<int>("a count");
+    } else if (cur.is("--grid")) {
+      const std::string grid = cur.value();
       if (grid == "paper") {
         options.factory.characterize.grid = rw::charlib::OpcGrid::paper();
       } else if (grid == "coarse") {
         options.factory.characterize.grid = rw::charlib::OpcGrid::coarse();
       } else {
-        std::cerr << "rwserved: unknown grid \"" << grid << "\"\n";
-        return kExitUsage;
+        cur.fail("unknown grid \"" + grid + "\"");
       }
-    } else if (a == "--cells") {
-      if ((v = need_value(i, "--cells")) == nullptr) return kExitUsage;
-      options.factory.cell_subset = rw::util::split(v, ",");
-    } else if (a == "--resume") {
+    } else if (cur.is("--cells")) {
+      options.factory.cell_subset = rw::util::split(cur.value(), ",");
+    } else if (cur.is("--resume")) {
       options.factory.resume = true;
-    } else if (a == "--report") {
-      if ((v = need_value(i, "--report")) == nullptr) return kExitUsage;
-      options.report_path = v;
-    } else if (a == "--steal-ms") {
-      if ((v = need_value(i, "--steal-ms")) == nullptr) return kExitUsage;
-      options.steal_interval_ms = std::atof(v);
-    } else if (a == "--spool-ttl-ms") {
-      if ((v = need_value(i, "--spool-ttl-ms")) == nullptr) return kExitUsage;
-      options.spool_ttl_ms = std::atof(v);
-    } else if (a == "--op-max") {
-      if ((v = need_value(i, "--op-max")) == nullptr) return kExitUsage;
-      options.op_max = std::atoi(v);
-      if (options.op_max < 1) {
-        std::cerr << "rwserved: --op-max must be >= 1\n";
-        return kExitUsage;
-      }
-    } else if (a == "--op-deadline-ms") {
-      if ((v = need_value(i, "--op-deadline-ms")) == nullptr) return kExitUsage;
-      options.op_deadline_ms = std::atof(v);
-    } else if (a == "--gc") {
+    } else if (cur.is("--report")) {
+      options.report_path = cur.value();
+    } else if (cur.is("--steal-ms")) {
+      options.steal_interval_ms = cur.number<double>("milliseconds");
+    } else if (cur.is("--spool-ttl-ms")) {
+      options.spool_ttl_ms = cur.number<double>("milliseconds");
+    } else if (cur.is("--op-max")) {
+      options.op_max = cur.number<int>("a count >= 1", rw::cli::positive);
+    } else if (cur.is("--op-deadline-ms")) {
+      options.op_deadline_ms = cur.number<double>("milliseconds");
+    } else if (cur.is("--gc")) {
       gc_oneshot = true;
-    } else if (a == "--gc-max-age-ms") {
-      if ((v = need_value(i, "--gc-max-age-ms")) == nullptr) return kExitUsage;
-      options.gc_max_age_ms = std::atof(v);
-    } else if (a == "--gc-dry-run") {
+    } else if (cur.is("--gc-max-age-ms")) {
+      options.gc_max_age_ms = cur.number<double>("milliseconds");
+    } else if (cur.is("--gc-dry-run")) {
       gc_dry_run = true;
     } else {
-      std::cerr << "rwserved: unknown argument " << a << "\n";
-      print_usage(std::cerr);
-      return kExitUsage;
+      cur.unknown();
     }
   }
   if (gc_oneshot) {
     // One-shot sweep: no socket, no workers — just the crash-safe GC over
     // the shared cache, the same code path op=gc runs in a live daemon.
-    if (options.factory.cache_dir.empty()) {
-      std::cerr << "rwserved: --gc needs --cache (or $RW_LIBCACHE)\n";
-      return kExitUsage;
-    }
+    if (options.factory.cache_dir.empty()) cur.fail("--gc needs --cache (or $RW_LIBCACHE)");
     try {
       rw::serve::GcOptions gc;
       gc.cache_dir = options.factory.cache_dir;
@@ -165,9 +128,7 @@ int main(int argc, char** argv) {
     }
   }
   if (options.socket_path.empty()) {
-    std::cerr << "rwserved: --socket (or $RW_SERVE_SOCKET) is required\n";
-    print_usage(std::cerr);
-    return kExitUsage;
+    cur.fail_with_usage("--socket (or $RW_SERVE_SOCKET) is required");
   }
 
   rw::serve::Server server(std::move(options));

@@ -17,14 +17,13 @@
 ///
 /// Output is deterministic and bitwise identical for any --threads value.
 
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "flow/cancel.hpp"
 #include "liberty/library.hpp"
-#include "liberty/parser.hpp"
 #include "lint/linter.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/verilog.hpp"
@@ -33,8 +32,6 @@
 #include "util/thread_pool.hpp"
 
 namespace {
-
-constexpr int kExitUsage = 64;
 
 void print_usage(std::ostream& os) {
   os << "usage: rwstress [options] netlist.v\n"
@@ -57,82 +54,29 @@ struct Args {
   bool help = false;
 };
 
-bool parse_args(int argc, char** argv, Args& args) {
-  const auto need_value = [&](int& i, const char* flag) -> const char* {
-    if (i + 1 >= argc) {
-      std::cerr << "rwstress: " << flag << " needs a value\n";
-      return nullptr;
-    }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--lib") {
-      const char* v = need_value(i, "--lib");
-      if (v == nullptr) return false;
-      args.lib_paths.emplace_back(v);
-    } else if (a == "--input") {
-      const char* v = need_value(i, "--input");
-      if (v == nullptr) return false;
-      std::string net;
-      rw::stress::Interval interval;
-      if (!rw::stress::parse_net_interval(v, net, interval)) {
-        std::cerr << "rwstress: --input wants NET=LO:HI with 0 <= LO <= HI <= 1\n";
-        return false;
-      }
-      args.options.input_intervals[net] = interval;
-    } else if (a == "--default") {
-      const char* v = need_value(i, "--default");
-      if (v == nullptr) return false;
-      if (!rw::stress::parse_interval(v, args.options.default_input)) {
-        std::cerr << "rwstress: --default wants LO:HI with 0 <= LO <= HI <= 1\n";
-        return false;
-      }
-    } else if (a == "--clock") {
-      const char* v = need_value(i, "--clock");
-      if (v == nullptr) return false;
-      try {
-        args.options.clock_probability = std::stod(v);
-      } catch (const std::exception&) {
-        args.options.clock_probability = -1.0;
-      }
-      if (args.options.clock_probability < 0.0 || args.options.clock_probability > 1.0) {
-        std::cerr << "rwstress: --clock wants a probability in [0,1]\n";
-        return false;
-      }
-    } else if (a == "--iterations") {
-      const char* v = need_value(i, "--iterations");
-      if (v == nullptr) return false;
-      args.options.max_iterations = std::atoi(v);
-      if (args.options.max_iterations < 1) {
-        std::cerr << "rwstress: --iterations wants a positive count\n";
-        return false;
-      }
-    } else if (a == "--format") {
-      const char* v = need_value(i, "--format");
-      if (v == nullptr) return false;
-      args.format = v;
-    } else if (a == "-h" || a == "--help") {
+Args parse_args(int argc, char** argv) {
+  Args args;
+  rw::cli::Cursor cur("rwstress", argc, argv, print_usage);
+  while (cur.next()) {
+    if (cur.is("--lib")) {
+      args.lib_paths.emplace_back(cur.value());
+    } else if (rw::cli::stress_flag(cur, args.options)) {
+      // --input, --default, --clock, --iterations
+    } else if (cur.is("--format")) {
+      args.format = cur.value();
+    } else if (cur.is("-h") || cur.is("--help")) {
       args.help = true;
-    } else if (!a.empty() && a[0] == '-') {
-      std::cerr << "rwstress: unknown flag " << a << "\n";
-      return false;
+    } else if (cur.flag()) {
+      cur.unknown();
     } else if (args.netlist.empty()) {
-      args.netlist = a;
+      args.netlist = cur.arg();
     } else {
-      std::cerr << "rwstress: exactly one netlist per run\n";
-      return false;
+      cur.fail("exactly one netlist per run");
     }
   }
-  if (args.format != "text" && args.format != "json") {
-    std::cerr << "rwstress: --format must be text or json\n";
-    return false;
-  }
-  if (!args.help && (args.netlist.empty() || args.lib_paths.empty())) {
-    print_usage(std::cerr);
-    return false;
-  }
-  return true;
+  if (args.format != "text" && args.format != "json") cur.fail("--format must be text or json");
+  if (!args.help && (args.netlist.empty() || args.lib_paths.empty())) cur.fail_with_usage("");
+  return args;
 }
 
 void append_interval_json(std::string& out, const rw::stress::Interval& v) {
@@ -202,31 +146,13 @@ void print_text(const rw::netlist::Module& module, const rw::stress::StressRepor
             << " info\n";
 }
 
-rw::lint::Diagnostic io_error(const std::string& path, const std::string& what) {
-  return rw::lint::Diagnostic{"IO001", rw::lint::Severity::kError, path, what,
-                              "fix the file or the flag pointing at it"};
-}
-
-int exit_code(const std::vector<rw::lint::Diagnostic>& diagnostics) {
-  switch (rw::lint::worst_severity(diagnostics)) {
-    case rw::lint::Severity::kError:
-      return 2;
-    case rw::lint::Severity::kWarning:
-      return 1;
-    case rw::lint::Severity::kInfo:
-      return 0;
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   rw::flow::install_signal_handlers();
   rw::flow::install_deadline_from_env();
   rw::util::consume_thread_flag(argc, argv);
-  Args args;
-  if (!parse_args(argc, argv, args)) return kExitUsage;
+  Args args = parse_args(argc, argv);
   if (args.help) {
     print_usage(std::cout);
     return 0;
@@ -234,28 +160,19 @@ int main(int argc, char** argv) {
 
   std::vector<rw::lint::Diagnostic> report;
   rw::liberty::Library pool("rwstress_pool");
-  for (const auto& path : args.lib_paths) {
-    try {
-      const rw::liberty::Library lib = rw::liberty::parse_library_file(path);
-      for (const auto& cell : lib.cells()) {
-        if (pool.find(cell.name) == nullptr) pool.add_cell(cell);
-      }
-    } catch (const std::exception& e) {
-      report.push_back(io_error(path, e.what()));
-    }
-  }
+  rw::cli::pool_libraries(args.lib_paths, pool, report);
   if (!report.empty()) {
     std::cout << rw::lint::format_report(report);
-    return exit_code(report);
+    return rw::cli::exit_code(report);
   }
 
   rw::netlist::Module module("empty");
   try {
     module = rw::netlist::parse_verilog_file(args.netlist, pool, {.lenient = true});
   } catch (const std::exception& e) {
-    report.push_back(io_error(args.netlist, e.what()));
+    report.push_back(rw::cli::io_error(args.netlist, e.what()));
     std::cout << rw::lint::format_report(report);
-    return exit_code(report);
+    return rw::cli::exit_code(report);
   }
 
   // Full netlist lint (structural + annotation + SP cross-checks) with the
@@ -281,5 +198,5 @@ int main(int argc, char** argv) {
   } else {
     print_text(module, stress, diagnostics);
   }
-  return exit_code(diagnostics);
+  return rw::cli::exit_code(diagnostics);
 }
