@@ -1,8 +1,9 @@
 /// Performance micro-benchmarks (google-benchmark) for the heavy engines:
 /// the transient circuit solver (cell characterization cost), full-design
-/// STA, the technology mapper, and the gate-level simulators. These back the
-/// design choices called out in DESIGN.md (smooth device model, lazy
-/// characterization, batched sizing, parallel characterization).
+/// STA, the technology mapper, the Liberty reader and the gate-level
+/// simulators. These back the design choices called out in DESIGN.md
+/// (smooth device model, lazy characterization, batched sizing, parallel
+/// characterization, the compiled cycle simulator).
 ///
 /// Besides the google-benchmark suite, the binary runs a characterization
 /// throughput study (single cell × 49 OPCs and a full library, at 1 thread
@@ -33,6 +34,8 @@
 #include "spice/stats.hpp"
 #include "cells/catalog.hpp"
 #include "circuits/benchmarks.hpp"
+#include "liberty/parser.hpp"
+#include "liberty/writer.hpp"
 #include "logicsim/simulator.hpp"
 #include "logicsim/timingsim.hpp"
 #include "netlist/sdf.hpp"
@@ -141,6 +144,16 @@ void BM_CycleSimDsp(benchmark::State& state) {
                           static_cast<std::int64_t>(m.instances().size()));
 }
 BENCHMARK(BM_CycleSimDsp);
+
+void BM_ParseLibrary(benchmark::State& state) {
+  const std::string text = liberty::write_library(fresh());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(liberty::parse_library(text));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_ParseLibrary)->Unit(benchmark::kMillisecond);
 
 void BM_TimingSimDspCycle(benchmark::State& state) {
   const auto& m = dsp_module();

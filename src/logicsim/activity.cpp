@@ -11,12 +11,14 @@ ActivityCollector::ActivityCollector(int net_count) {
 }
 
 void ActivityCollector::observe(const CycleSimulator& sim) {
-  for (netlist::NetId n = 0; n < sim.module().net_count(); ++n) {
-    const auto i = static_cast<std::size_t>(n);
-    const char v = sim.value(n) ? 1 : 0;
-    if (v) ++high_counts_[i];
-    if (cycles_ > 0 && v != last_[i]) ++toggle_counts_[i];
-    last_[i] = v;
+  const std::uint8_t* const v = sim.values().data();
+  const std::size_t n = sim.values().size();
+  // Toggles count from the second observation on: before it, last_ holds no value.
+  const std::size_t counts_toggles = cycles_ > 0 ? 1 : 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    high_counts_[i] += v[i];
+    toggle_counts_[i] += counts_toggles & static_cast<std::size_t>(v[i] ^ last_[i]);
+    last_[i] = v[i];
   }
   ++cycles_;
 }

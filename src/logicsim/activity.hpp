@@ -12,6 +12,7 @@
 /// oracle compares against the proven bounds of stress/activity_bounds.hpp.
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -40,7 +41,7 @@ class ActivityCollector {
  private:
   std::vector<std::size_t> high_counts_;
   std::vector<std::size_t> toggle_counts_;
-  std::vector<char> last_;  ///< value at the previous observation
+  std::vector<std::uint8_t> last_;  ///< value at the previous observation
   std::size_t cycles_ = 0;
 };
 

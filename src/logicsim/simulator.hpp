@@ -6,20 +6,27 @@
 /// captures flop inputs on the clock edge. This is the functional golden
 /// model and the activity/duty-cycle extractor of the dynamic-aging flow
 /// (Modelsim's role in Fig. 4(b)).
+///
+/// The module is compiled once, in `sta::Adjacency`'s topological order,
+/// into flat arrays — fanin CSR, output net and truth word per
+/// combinational gate, (Q, D) per flop — and the state is one byte per
+/// net, so a cycle reads nothing but these arrays.
 
+#include <cstdint>
 #include <vector>
 
 #include "liberty/library.hpp"
 #include "netlist/netlist.hpp"
-#include "sta/graph.hpp"
 
 namespace rw::logicsim {
 
 class CycleSimulator {
  public:
   /// Flops reset to 0; inputs default to 0.
+  /// \throws std::runtime_error on a combinational loop.
   CycleSimulator(const netlist::Module& module, const liberty::Library& library);
 
+  /// \throws std::invalid_argument when `net` is not a primary input.
   void set_input(netlist::NetId net, bool value);
   /// Evaluates combinational logic with current inputs and flop states.
   /// Call before reading values; `clock_edge()` then advances state.
@@ -32,7 +39,11 @@ class CycleSimulator {
     clock_edge();
   }
 
-  [[nodiscard]] bool value(netlist::NetId net) const;
+  [[nodiscard]] bool value(netlist::NetId net) const {
+    return net_value_[static_cast<std::size_t>(net)] != 0;
+  }
+  /// Every net's value (0 or 1), indexed by NetId.
+  [[nodiscard]] const std::vector<std::uint8_t>& values() const { return net_value_; }
   [[nodiscard]] const netlist::Module& module() const { return module_; }
   [[nodiscard]] const liberty::Library& library() const { return library_; }
 
@@ -41,11 +52,17 @@ class CycleSimulator {
  private:
   const netlist::Module& module_;
   const liberty::Library& library_;
-  sta::Adjacency adj_;
-  std::vector<bool> net_value_;
-  std::vector<std::uint64_t> truth_;       ///< per instance (flops: unused)
-  std::vector<int> flop_instances_;
-  std::vector<bool> flop_state_;           ///< aligned with flop_instances_
+  /// Combinational gate g (topological order) reads nets
+  /// fanin_[fanin_start_[g] .. fanin_start_[g + 1]) and drives out_[g].
+  std::vector<std::int32_t> fanin_start_;
+  std::vector<std::int32_t> fanin_;
+  std::vector<std::int32_t> out_;
+  std::vector<std::uint64_t> truth_;
+  std::vector<std::int32_t> flop_q_;
+  std::vector<std::int32_t> flop_d_;
+  std::vector<std::uint8_t> flop_state_;  ///< aligned with flop_q_/flop_d_
+  std::vector<std::uint8_t> is_input_;    ///< per net
+  std::vector<std::uint8_t> net_value_;
 };
 
 }  // namespace rw::logicsim

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <stdexcept>
+#include <string>
+
 #include "liberty/library.hpp"
 #include "liberty/merge.hpp"
 #include "liberty/parser.hpp"
@@ -174,6 +179,101 @@ library (c) {
 )";
   const Library lib = parse_library(text);
   EXPECT_EQ(lib.size(), 1u);
+}
+
+/// The 1-based line of the first `needle` in `text`.
+int line_of(const std::string& text, const std::string& needle) {
+  const auto end = text.begin() + static_cast<std::ptrdiff_t>(text.find(needle));
+  return 1 + static_cast<int>(std::count(text.begin(), end, '\n'));
+}
+
+TEST(Parser, RejectsJunkNumbersWithLine) {
+  // Every number is read as one whole token: a prefix-valid "1.6x" or a word
+  // where a number belongs is a line-numbered parse error, not 1.6 or 0.
+  Library lib("strict");
+  Cell nand = make_nand2();
+  nand.fallbacks.push_back(FallbackPoint{"A", true, 1, 0});
+  nand.interp = InterpMarker{0.2, 0.4, 0.0, 0.2, 1.5};
+  lib.add_cell(nand);
+  lib.add_cell(make_dff());
+  const std::string text = write_library(lib);
+  const struct {
+    const char* from;
+    const char* to;
+  } rows[] = {
+      {"area : 2.5000;", "area : banana;"},
+      {"capacitance : 1.2500;", "capacitance : 1.6x;"},
+      {"capacitance : 1.2500;", "capacitance : 1,25;"},
+      {"rw_drive : 1;", "rw_drive : 1.5;"},
+      {"rw_truth : 7;", "rw_truth : -7;"},
+      {"rw_truth : 7;", "rw_truth : 7z;"},
+      {"rw_setup : 35.5000;", "rw_setup : 35.5ps;"},
+      {"rw_hold : 0.0000;", "rw_hold : inf;"},
+      {"\"A:rise:1:0\"", "\"A:rise:1x:0\""},
+      {"\"A:rise:1:0\"", "\"A:up:1:0\""},
+      {"\"A:rise:1:0\"", "\"A:rise::1:0\""},
+      {"\"0.2000:0.4000:", "\"0.2000:0.4O00:"},
+      {":1.500000\"", ":+1.500000\""},
+      {"index_1 (\"10.0000, 100.0000\")", "index_1 (\"10.0000, 1e2x\")"},
+      {"index_2 (\"1.0000, 10.0000\")", "index_2 (\"1.0000, 0x10\")"},
+      {"\"10.0000, 11.0000\"", "\"10.0000, 11.0000abc\""},
+      {"\"10.0000, 11.0000\"", "\"10.0000, 1e999\""},
+  };
+  for (const auto& row : rows) {
+    std::string bad = text;
+    const std::size_t pos = bad.find(row.from);
+    ASSERT_NE(pos, std::string::npos) << row.from;
+    bad.replace(pos, std::string(row.from).size(), row.to);
+    const std::string where = "line " + std::to_string(line_of(bad, row.to)) + ":";
+    try {
+      (void)parse_library(bad);
+      ADD_FAILURE() << "accepted " << row.to;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(where), std::string::npos)
+          << row.to << " -> " << e.what();
+    }
+  }
+}
+
+TEST(Parser, NonFiniteTableEntriesParse) {
+  // NaN/inf in an NLDM table is a finding of the library rules (LB001), so
+  // the reader keeps it instead of refusing the file.
+  Library lib("nonfinite");
+  lib.add_cell(make_nand2());
+  std::string text = write_library(lib);
+  const std::string row = "\"10.0000, 11.0000\"";
+  text.replace(text.find(row), row.size(), "\"nan, -inf\"");
+  const Library parsed = parse_library(text);
+  const Cell& c = parsed.at("NAND2_X1");
+  EXPECT_TRUE(std::isnan(c.arcs[0].rise.delay_ps.at(0, 0)));
+  EXPECT_TRUE(std::isinf(c.arcs[0].rise.delay_ps.at(0, 1)));
+  EXPECT_LT(c.arcs[0].rise.delay_ps.at(0, 1), 0.0);
+}
+
+TEST(Parser, KeepsContinuationsAndMultiTokenValues) {
+  // A string split by backslash-newline reads as one; an attribute value of
+  // several tokens is joined by single spaces.
+  const std::string text =
+      "library (c) {\n"
+      "  cell (INV_X1) {\n"
+      "    area : 1.0;\n"
+      "    rw_family : two words;\n"
+      "    rw_truth : 1;\n"
+      "    pin (A) { direction : input; capacitance : 1.0; }\n"
+      "    pin (Z) { direction : output;\n"
+      "      timing () { related_pin : \"A\";\n"
+      "        cell_rise () { index_1 (\"1.0, 2.\\\n0\"); index_2 (\"1.0\");\n"
+      "          values (\"3.0\", \"4.0\"); }\n"
+      "      }\n"
+      "    }\n"
+      "  }\n"
+      "}\n";
+  const Library parsed = parse_library(text);
+  const Cell& c = parsed.at("INV_X1");
+  EXPECT_EQ(c.family, "two words");
+  ASSERT_EQ(c.arcs.size(), 1u);
+  EXPECT_DOUBLE_EQ(c.arcs[0].rise.delay_ps.x_axis()[1], 2.0);
+  EXPECT_DOUBLE_EQ(c.arcs[0].rise.delay_ps.at(1, 0), 4.0);
 }
 
 TEST(Merge, IndexesCellNames) {

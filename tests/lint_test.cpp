@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -712,6 +713,47 @@ TEST(RwlintCli, UsageErrorsExit64) {
     EXPECT_EQ(exit_code, 64) << flag << ": " << out;
     EXPECT_EQ(out.find("error(s)"), std::string::npos) << flag << ": " << out;
   }
+}
+
+TEST(RwlintCli, JunkLibraryNumbersAreIo001) {
+  // A library number with trailing junk or no digits fails the read (IO001,
+  // with its line) instead of linting clean as a prefix or as 0; a NaN table
+  // entry still reads, so the library rules report it (LB001).
+  std::ifstream in(RW_REPO_DIR "/examples/fixtures/mini.lib");
+  std::ostringstream text;
+  text << in.rdbuf();
+  const std::string mini = text.str();
+  const std::string bad = std::string(::testing::TempDir()) + "junk_numbers." +
+                          std::to_string(static_cast<long>(::getpid())) + ".lib";
+  const struct {
+    const char* from;
+    const char* to;
+    const char* expect;
+  } rows[] = {
+      {"area : 0.5320;", "area : banana;", "IO001"},
+      {"capacitance : 1.6000;", "capacitance : 1.6x;", "IO001"},
+      {"\"10.0000, 24.0000\"", "\"nan, 24.0000\"", "LB001"},
+  };
+  for (const auto& row : rows) {
+    std::string lib = mini;
+    const std::size_t pos = lib.find(row.from);
+    ASSERT_NE(pos, std::string::npos) << row.from;
+    lib.replace(pos, std::string(row.from).size(), row.to);
+    std::ofstream(bad) << lib;
+    const auto line =
+        1 + std::count(lib.begin(), lib.begin() + static_cast<std::ptrdiff_t>(pos), '\n');
+    int exit_code = -1;
+    const std::string out =
+        run_cli("--lib " + bad + " " RW_REPO_DIR "/examples/fixtures/clean.v", exit_code);
+    EXPECT_EQ(exit_code, 2) << row.to << ": " << out;
+    EXPECT_NE(out.find(row.expect), std::string::npos) << row.to << ": " << out;
+    if (std::string(row.expect) == "IO001") {
+      EXPECT_NE(out.find("line " + std::to_string(line) + ":"), std::string::npos) << out;
+    } else {
+      EXPECT_EQ(out.find("IO001"), std::string::npos) << row.to << ": " << out;
+    }
+  }
+  std::remove(bad.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <stdexcept>
+#include <vector>
+
 #include "charlib/factory.hpp"
+#include "circuits/benchmarks.hpp"
 #include "logicsim/activity.hpp"
 #include "logicsim/simulator.hpp"
 #include "logicsim/timingsim.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/sdf.hpp"
 #include "sta/analysis.hpp"
+#include "synth/synthesizer.hpp"
 #include "util/rng.hpp"
 
 namespace rw::logicsim {
@@ -16,7 +23,8 @@ charlib::LibraryFactory& factory() {
   static charlib::LibraryFactory f = [] {
     charlib::LibraryFactory::Options o;
     o.characterize.grid = charlib::OpcGrid::coarse();
-    o.cell_subset = {"INV_X1", "NAND2_X1", "XOR2_X1", "AND2_X1", "DFF_X1"};
+    o.cell_subset = {"INV_X1",  "INV_X2",  "NAND2_X1", "NAND2_X2", "NOR2_X1",  "AND2_X1",
+                     "XOR2_X1", "BUF_X2",  "AOI21_X1", "OAI21_X1", "MUX2_X1", "DFF_X1"};
     return charlib::LibraryFactory(o);
   }();
   return f;
@@ -82,6 +90,125 @@ TEST(CycleSimulator, CarryAccumulates) {
   sim.evaluate();
   EXPECT_TRUE(sim.value(d.carry_q));      // registered carry
   EXPECT_FALSE(sim.value(d.sum));         // 1 ^ 0 ^ 1 = 0
+}
+
+/// Reference evaluator built from the Module and Library alone: every
+/// combinational instance is re-evaluated from its truth table, in netlist
+/// order, until no net changes; flops hold the value captured at the edge.
+class ReferenceSim {
+ public:
+  ReferenceSim(const netlist::Module& m, const liberty::Library& library)
+      : m_(m), net_(static_cast<std::size_t>(m.net_count()), false) {
+    for (const auto& inst : m.instances()) {
+      const liberty::Cell& cell = library.at(inst.cell);
+      is_flop_.push_back(cell.is_flop);
+      truth_.push_back(cell.truth);
+    }
+    state_.assign(m.instances().size(), false);
+  }
+
+  void set(netlist::NetId net, bool v) { net_[static_cast<std::size_t>(net)] = v; }
+  [[nodiscard]] bool value(netlist::NetId net) const { return net_[static_cast<std::size_t>(net)]; }
+
+  void evaluate() {
+    const auto& insts = m_.instances();
+    for (std::size_t i = 0; i < insts.size(); ++i) {
+      if (is_flop_[i]) set(insts[i].out, state_[i]);
+    }
+    for (bool changed = true; changed;) {
+      changed = false;
+      for (std::size_t i = 0; i < insts.size(); ++i) {
+        if (is_flop_[i]) continue;
+        unsigned pattern = 0;
+        for (std::size_t p = 0; p < insts[i].fanin.size(); ++p) {
+          if (value(insts[i].fanin[p])) pattern |= 1U << p;
+        }
+        const bool v = ((truth_[i] >> pattern) & 1U) != 0;
+        if (v != value(insts[i].out)) {
+          set(insts[i].out, v);
+          changed = true;
+        }
+      }
+    }
+  }
+
+  void clock_edge() {
+    const auto& insts = m_.instances();
+    for (std::size_t i = 0; i < insts.size(); ++i) {
+      if (is_flop_[i]) state_[i] = value(insts[i].fanin[0]);
+    }
+  }
+
+ private:
+  const netlist::Module& m_;
+  std::vector<bool> net_;
+  std::vector<bool> is_flop_;
+  std::vector<std::uint64_t> truth_;
+  std::vector<bool> state_;
+};
+
+TEST(CycleSimulator, MatchesFixedPointReferenceOnABenchmarkCircuit) {
+  synth::SynthesisOptions opt;
+  opt.multi_start = false;
+  const auto& bc = circuits::benchmark_suite().front();
+  const netlist::Module m = synth::synthesize(bc.build(), lib(), bc.name, opt).module;
+  CycleSimulator sim(m, lib());
+  ReferenceSim ref(m, lib());
+  ActivityCollector act(m.net_count());
+  const auto nets = static_cast<std::size_t>(m.net_count());
+  std::vector<std::size_t> highs(nets, 0);
+  std::vector<std::size_t> toggles(nets, 0);
+  std::vector<bool> last(nets, false);
+  constexpr int kCycles = 256;
+  util::Rng rng(17);
+  for (int k = 0; k < kCycles; ++k) {
+    for (const netlist::NetId pi : m.inputs()) {
+      if (pi == m.clock()) continue;
+      const bool v = rng.chance(0.5);
+      sim.set_input(pi, v);
+      ref.set(pi, v);
+    }
+    sim.evaluate();
+    ref.evaluate();
+    act.observe(sim);
+    int mismatches = 0;
+    for (netlist::NetId n = 0; n < m.net_count(); ++n) {
+      const auto i = static_cast<std::size_t>(n);
+      if (sim.value(n) != ref.value(n)) ++mismatches;
+      if (ref.value(n)) ++highs[i];
+      if (k > 0 && ref.value(n) != last[i]) ++toggles[i];
+      last[i] = ref.value(n);
+    }
+    ASSERT_EQ(mismatches, 0) << bc.name << " cycle " << k;
+    sim.clock_edge();
+    ref.clock_edge();
+  }
+
+  ASSERT_EQ(act.cycles(), static_cast<std::size_t>(kCycles));
+  for (netlist::NetId n = 0; n < m.net_count(); ++n) {
+    const auto i = static_cast<std::size_t>(n);
+    EXPECT_EQ(*act.probability_high(n), static_cast<double>(highs[i]) / kCycles) << n;
+    EXPECT_EQ(*act.toggle_rate(n), static_cast<double>(toggles[i]) / (kCycles - 1)) << n;
+  }
+  const auto duties = extract_duty_cycles(m, lib(), act);
+  ASSERT_EQ(duties.size(), m.instances().size());
+  for (std::size_t i = 0; i < duties.size(); ++i) {
+    const auto& inst = m.instances()[i];
+    const auto pins = lib().at(inst.cell).input_pins();
+    double sum = 0.0;
+    for (std::size_t p = 0; p < inst.fanin.size(); ++p) {
+      sum += pins[p]->is_clock
+                 ? 0.5
+                 : static_cast<double>(highs[static_cast<std::size_t>(inst.fanin[p])]) / kCycles;
+    }
+    const double high = inst.fanin.empty() ? 0.5 : sum / static_cast<double>(inst.fanin.size());
+    EXPECT_EQ(duties[i].lambda_n, high) << inst.name;
+    EXPECT_EQ(duties[i].lambda_p, 1.0 - high) << inst.name;
+  }
+
+  // Only primary inputs take a value from outside.
+  EXPECT_THROW(sim.set_input(m.instances().front().out, true), std::invalid_argument);
+  EXPECT_THROW(sim.set_input(m.outputs().front(), true), std::invalid_argument);
 }
 
 TEST(Activity, ProbabilitiesAndDuties) {

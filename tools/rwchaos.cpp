@@ -41,7 +41,7 @@ namespace {
 void print_usage(std::ostream& os) {
   os << "usage: rwchaos [options]\n"
         "  --seeds N         number of seeded trials (default 25)\n"
-        "  --seed S          base seed (default 1; $RW_CHAOS_SEED overrides)\n"
+        "  --seed S          base seed (default $RW_CHAOS_SEED, else 1)\n"
         "  --dir PATH        campaign work root (default ./chaos_campaign)\n"
         "  --serve           run the rwserved service campaign instead\n"
         "  --serve-fleet     run the two-daemon shared-cache fleet campaign\n"
