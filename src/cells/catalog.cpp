@@ -187,12 +187,4 @@ const CellSpec& find_cell(const std::string& name) {
   throw std::out_of_range("find_cell: no cell named " + name);
 }
 
-std::vector<const CellSpec*> family_cells(const std::string& family) {
-  std::vector<const CellSpec*> out;
-  for (const auto& c : catalog()) {
-    if (c.family == family) out.push_back(&c);
-  }
-  return out;
-}
-
 }  // namespace rw::cells

@@ -17,7 +17,4 @@ const std::vector<CellSpec>& catalog();
 /// Finds a cell by exact name. \throws std::out_of_range when absent.
 const CellSpec& find_cell(const std::string& name);
 
-/// All cells of a function family (e.g. "NAND2"), ordered by drive strength.
-std::vector<const CellSpec*> family_cells(const std::string& family);
-
 }  // namespace rw::cells

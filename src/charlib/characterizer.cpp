@@ -18,10 +18,11 @@
 
 namespace rw::charlib {
 
-CharError::CharError(std::string cell, std::string context, const std::string& detail)
+CharError::CharError(std::string cell, std::string context, std::string detail)
     : std::runtime_error("characterize " + cell + " [" + context + "]: " + detail),
       cell_(std::move(cell)),
-      context_(std::move(context)) {}
+      context_(std::move(context)),
+      detail_(std::move(detail)) {}
 
 namespace {
 

@@ -64,15 +64,18 @@ struct CharacterizeOptions {
 /// records in its quarantine and run manifest.
 class CharError : public std::runtime_error {
  public:
-  CharError(std::string cell, std::string context, const std::string& detail);
+  CharError(std::string cell, std::string context, std::string detail);
 
   [[nodiscard]] const std::string& cell() const { return cell_; }
   /// e.g. "arc=A dir=rise scenario=wc10y" or "setup-search scenario=...".
   [[nodiscard]] const std::string& context() const { return context_; }
+  /// The underlying failure chain.
+  [[nodiscard]] const std::string& detail() const { return detail_; }
 
  private:
   std::string cell_;
   std::string context_;
+  std::string detail_;
 };
 
 /// One cell's characterization as a flat task queue, so callers can merge

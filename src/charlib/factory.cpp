@@ -165,9 +165,9 @@ std::unique_ptr<liberty::Cell> LibraryFactory::load_cached_cell(
   if (!fs::exists(path, ec)) return nullptr;
   try {
     liberty::Library single = liberty::parse_library_file(path);
-    if (const liberty::Cell* c = single.find(cell_name)) {
+    if (single.find(cell_name) != nullptr) {
       touch_usage_stamp(path);
-      return std::make_unique<liberty::Cell>(*c);
+      return std::make_unique<liberty::Cell>(std::move(single).take(cell_name));
     }
   } catch (const std::exception&) {
     // Truncated or corrupt (e.g. a crash mid-write before atomic renames
@@ -220,6 +220,7 @@ const liberty::Cell& LibraryFactory::cell(const std::string& cell_name,
                                      cell_name + " (" + key.first + ")");
         }
       }
+      if (const auto& e = pending->char_error) throw CharError((*e)[0], (*e)[1], (*e)[2]);
       if (pending->error) std::rethrow_exception(pending->error);
       // Re-check the cache (and any newer in-flight entry) from the top.
     }
@@ -258,7 +259,6 @@ void LibraryFactory::finalize_failure(const CellKey& key, const std::shared_ptr<
                                       std::exception_ptr error) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    job->error = error;
     job->done = true;
     in_flight_.erase(key);
     try {
@@ -267,11 +267,13 @@ void LibraryFactory::finalize_failure(const CellKey& key, const std::shared_ptr<
       // A CharError is a permanent failure (the solver already exhausted
       // its retry ladder): quarantine the pair and checkpoint it so a
       // resumed run fails fast instead of repeating hours of SPICE.
+      job->char_error = {e.cell(), e.context(), e.detail()};
       quarantine_[key] = e.what();
       manifest_.record_failed(key.first, key.second, e.what());
       manifest_.save();
     } catch (...) {
       // Transient failures (I/O, bad_alloc, ...) are not quarantined.
+      job->error = error;
     }
   }
   cv_.notify_all();

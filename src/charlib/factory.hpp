@@ -58,10 +58,12 @@
 /// mid-library-load is honored even when every cell is a disk hit and no
 /// solver ever runs.
 
+#include <array>
 #include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -198,7 +200,11 @@ class LibraryFactory {
   /// Entry in the in-flight table; waiters block on `factory.cv_`.
   struct CellJob {
     bool done = false;
-    std::exception_ptr error;
+    std::exception_ptr error;  ///< a failure other than a CharError
+    /// A CharError as its (cell, context, detail), so that every waiter
+    /// throws an instance of its own: rethrowing one exception object from
+    /// several threads shares its reference-counted message between them.
+    std::optional<std::array<std::string, 3>> char_error;
   };
 
   std::string grid_dir() const;

@@ -92,24 +92,20 @@ std::pair<int, int> full_adder(Ir& ir, int a, int b, int c) {
   return {sum, carry};
 }
 
-Word add_impl(Ir& ir, const Word& a, const Word& b, bool keep_carry) {
+}  // namespace
+
+Word add(Ir& ir, const Word& a, const Word& b) {
   if (a.size() != b.size()) throw std::invalid_argument("add: width mismatch");
   Word out;
-  out.reserve(a.size() + 1);
+  out.reserve(a.size());
   int carry = ir.constant(false);
   for (std::size_t i = 0; i < a.size(); ++i) {
     auto [s, c] = full_adder(ir, a[i], b[i], carry);
     out.push_back(s);
     carry = c;
   }
-  if (keep_carry) out.push_back(carry);
   return out;
 }
-
-}  // namespace
-
-Word add(Ir& ir, const Word& a, const Word& b) { return add_impl(ir, a, b, false); }
-Word add_expand(Ir& ir, const Word& a, const Word& b) { return add_impl(ir, a, b, true); }
 
 Word sub(Ir& ir, const Word& a, const Word& b) {
   // a + ~b + 1
@@ -210,12 +206,6 @@ Word mul_signed(Ir& ir, const Word& a, const Word& b) {
   p = sub(ir, p, mux_word(ir, a.back(), zero, b_shifted));
   p = sub(ir, p, mux_word(ir, b.back(), zero, a_shifted));
   return p;
-}
-
-int reduce_or(Ir& ir, const Word& a) {
-  int acc = a[0];
-  for (std::size_t i = 1; i < a.size(); ++i) acc = ir.or_(acc, a[i]);
-  return acc;
 }
 
 int equals_const(Ir& ir, const Word& a, std::uint64_t value) {

@@ -45,8 +45,6 @@ Word mux_word(synth::Ir& ir, int sel, const Word& d0, const Word& d1);
 Word add(synth::Ir& ir, const Word& a, const Word& b);
 /// a - b (two's complement, wraps).
 Word sub(synth::Ir& ir, const Word& a, const Word& b);
-/// a + b producing width+1 bits (carry out kept).
-Word add_expand(synth::Ir& ir, const Word& a, const Word& b);
 
 /// Left shift by a constant, zero fill, same width.
 Word shl_const(synth::Ir& ir, const Word& a, int amount);
@@ -64,8 +62,7 @@ Word mul(synth::Ir& ir, const Word& a, const Word& b);
 /// built from the unsigned array with sign-correction subtractions.
 Word mul_signed(synth::Ir& ir, const Word& a, const Word& b);
 
-/// Reduction OR / equality comparators.
-int reduce_or(synth::Ir& ir, const Word& a);
+/// Equality comparator against a constant.
 int equals_const(synth::Ir& ir, const Word& a, std::uint64_t value);
 
 /// Logical barrel shifter: a << amount or a >> amount (amount is a word of

@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "flow/artifact.hpp"
-#include "lint/linter.hpp"
+#include "flow/preamble.hpp"
 #include "sta/analysis.hpp"
 
 namespace rw::flow {
@@ -13,19 +13,12 @@ ContainmentResult run_containment(const synth::Ir& ir, const liberty::Library& f
                                   const liberty::Library& aged, const std::string& top_name,
                                   const synth::SynthesisOptions& options,
                                   const OrchestratorOptions* orch) {
-  FlowOrchestrator run("run_containment",
-                       orch != nullptr ? *orch : OrchestratorOptions::from_env());
+  FlowOrchestrator run("run_containment", resolve_options(orch));
   // Pre-flight the caller-provided libraries: negative/missing NLDM data or
   // an aged cell faster than fresh silently corrupts both syntheses, so fail
   // fast with the diagnostics instead.
-  {
-    lint::LintSubject subject;
-    subject.library = &fresh;
-    lint::report_diagnostics(lint::lint_or_throw(lint::Linter::library_linter(), subject));
-    subject.library = &aged;
-    subject.fresh = &fresh;
-    lint::report_diagnostics(lint::lint_or_throw(lint::Linter::library_linter(), subject));
-  }
+  preflight_library(fresh);
+  preflight_library(aged, &fresh);
   ContainmentResult r{
       run.stage(
           "synth_conventional", [&] { return synth::synthesize(ir, fresh, top_name, options); },

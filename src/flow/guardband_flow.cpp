@@ -7,40 +7,15 @@
 #include <stdexcept>
 
 #include "flow/artifact.hpp"
+#include "flow/preamble.hpp"
 #include "lint/linter.hpp"
 #include "logicsim/activity.hpp"
 #include "netlist/annotate.hpp"
-#include "sta/analysis.hpp"
 #include "util/thread_pool.hpp"
 
 namespace rw::flow {
 
 namespace {
-
-/// Pre-flight: refuse structurally broken netlists (combinational cycles,
-/// multi-driven nets, bogus λ annotations, ...) with the full diagnostic
-/// list instead of failing deep inside STA or characterization. The library
-/// is factory-generated, so only netlist + annotation (+ stress) rules run.
-void preflight(const netlist::Module& module, const liberty::Library& fresh,
-               const stress::AnalyzeOptions* stress_options = nullptr) {
-  lint::LintSubject subject;
-  subject.module = &module;
-  subject.library = &fresh;
-  subject.stress = stress_options;
-  lint::report_diagnostics(lint::lint_or_throw(lint::Linter::netlist_linter(), subject));
-}
-
-/// Library pre-flight for generated (aged) libraries: broken tables abort;
-/// warnings — notably LB006 interpolated-fallback points from cells whose
-/// OPC grid did not fully converge — go through `report_diagnostics` (and
-/// can be silenced via RW_LINT_MIN_SEVERITY) so it is visible when the
-/// timing below rests on second-class data.
-void preflight_library(const liberty::Library& aged, const liberty::Library& fresh) {
-  lint::LintSubject subject;
-  subject.library = &aged;
-  subject.fresh = &fresh;
-  lint::report_diagnostics(lint::lint_or_throw(lint::Linter::library_linter(), subject));
-}
 
 /// Merged "complete" library, characterized lazily: only the (cell, corner)
 /// pairs the annotated netlist actually instantiates, which is what keeps
@@ -83,37 +58,6 @@ double corner_slowness(const liberty::Cell& cell) {
   return sum;
 }
 
-/// LB006 interpolated-fallback points carried by a library's cells; the
-/// RunReport surfaces them as the `fallbacks` degradation counter.
-int count_fallback_points(const liberty::Library& library) {
-  int n = 0;
-  for (const liberty::Cell& cell : library.cells()) n += static_cast<int>(cell.fallbacks.size());
-  return n;
-}
-
-OrchestratorOptions resolve(const OrchestratorOptions* orch) {
-  return orch != nullptr ? *orch : OrchestratorOptions::from_env();
-}
-
-/// Library stage codecs shared by every flow.
-std::string encode_lib(const liberty::Library& library) {
-  return artifact::encode_library(library);
-}
-liberty::Library decode_lib(const std::string& text) { return artifact::decode_library(text); }
-
-/// GuardbandReport <-> two hexfloat doubles.
-std::string encode_report(const sta::GuardbandReport& report) {
-  return artifact::encode_doubles({report.fresh_cp_ps, report.aged_cp_ps});
-}
-sta::GuardbandReport decode_report(const std::string& text) {
-  const std::vector<double> v = artifact::decode_doubles(text);
-  if (v.size() != 2) throw std::runtime_error("guardband artifact: expected 2 values");
-  sta::GuardbandReport report;
-  report.fresh_cp_ps = v[0];
-  report.aged_cp_ps = v[1];
-  return report;
-}
-
 }  // namespace
 
 sta::GuardbandReport static_guardband(const netlist::Module& module,
@@ -121,21 +65,17 @@ sta::GuardbandReport static_guardband(const netlist::Module& module,
                                       const aging::AgingScenario& scenario,
                                       const sta::StaOptions& options,
                                       const OrchestratorOptions* orch) {
-  FlowOrchestrator run("static_guardband", resolve(orch));
+  FlowOrchestrator run("static_guardband", resolve_options(orch));
   const std::size_t quarantined_before = factory.quarantined().size();
 
-  const liberty::Library fresh = run.stage(
-      "fresh_library", [&] { return factory.library(aging::AgingScenario::fresh()); },
-      encode_lib, decode_lib);
-  preflight(module, fresh);
+  const liberty::Library fresh = fresh_library_stage(run, factory, module);
 
-  const liberty::Library aged = run.stage(
-      "aged_library", [&] { return factory.library(scenario); }, encode_lib, decode_lib);
-  preflight_library(aged, fresh);
+  const liberty::Library aged =
+      run.stage("aged_library", [&] { return factory.library(scenario); },
+                artifact::encode_library, artifact::decode_library);
+  preflight_library(aged, &fresh);
 
-  const sta::GuardbandReport report = run.stage(
-      "sta", [&] { return sta::estimate_guardband(module, fresh, aged, options); },
-      encode_report, decode_report);
+  const sta::GuardbandReport report = guardband_stage(run, module, fresh, module, aged, options);
 
   run.report().fallbacks += count_fallback_points(fresh) + count_fallback_points(aged);
   run.report().quarantined += static_cast<int>(factory.quarantined().size() - quarantined_before);
@@ -148,13 +88,10 @@ DynamicAgingResult dynamic_workload_guardband(const netlist::Module& module,
                                               const Stimulus& stimulus, int cycles, double years,
                                               const sta::StaOptions& options,
                                               const OrchestratorOptions* orch) {
-  FlowOrchestrator run("dynamic_workload_guardband", resolve(orch));
+  FlowOrchestrator run("dynamic_workload_guardband", resolve_options(orch));
   const std::size_t quarantined_before = factory.quarantined().size();
 
-  const liberty::Library fresh = run.stage(
-      "fresh_library", [&] { return factory.library(aging::AgingScenario::fresh()); },
-      encode_lib, decode_lib);
-  preflight(module, fresh);
+  const liberty::Library fresh = fresh_library_stage(run, factory, module);
 
   // 1+2. Gate-level simulation of the workload (Modelsim's role) and
   // duty-cycle extraction, plus post-warm-up per-net toggle rates for the
@@ -228,8 +165,8 @@ DynamicAgingResult dynamic_workload_guardband(const netlist::Module& module,
         return build_used_corner_library(module, result.annotated, duties, years, factory,
                                          "reliaware_complete_used");
       },
-      encode_lib, decode_lib);
-  preflight_library(merged, fresh);
+      artifact::encode_library, artifact::decode_library);
+  preflight_library(merged, &fresh);
 
   // Oracle cross-check: every simulated annotation must sit inside the
   // statically proven workload-independent λ bounds (SP001), and every
@@ -254,15 +191,7 @@ DynamicAgingResult dynamic_workload_guardband(const netlist::Module& module,
   }
 
   // 4. Timing against the merged library vs the fresh library.
-  result.report = run.stage(
-      "sta",
-      [&] {
-        sta::GuardbandReport report;
-        report.fresh_cp_ps = sta::Sta(module, fresh, options).critical_delay_ps();
-        report.aged_cp_ps = sta::Sta(result.annotated, merged, options).critical_delay_ps();
-        return report;
-      },
-      encode_report, decode_report);
+  result.report = guardband_stage(run, module, fresh, result.annotated, merged, options);
 
   run.report().fallbacks += count_fallback_points(merged);
   run.report().quarantined += static_cast<int>(factory.quarantined().size() - quarantined_before);
@@ -275,13 +204,10 @@ BoundedStaticResult bounded_static_guardband(const netlist::Module& module,
                                              const stress::AnalyzeOptions& stress_options,
                                              const sta::StaOptions& options,
                                              const OrchestratorOptions* orch) {
-  FlowOrchestrator run("bounded_static_guardband", resolve(orch));
+  FlowOrchestrator run("bounded_static_guardband", resolve_options(orch));
   const std::size_t quarantined_before = factory.quarantined().size();
 
-  const liberty::Library fresh = run.stage(
-      "fresh_library", [&] { return factory.library(aging::AgingScenario::fresh()); },
-      encode_lib, decode_lib);
-  preflight(module, fresh, &stress_options);
+  const liberty::Library fresh = fresh_library_stage(run, factory, module, &stress_options);
 
   // 1. Prove per-instance λ bounds — no simulation, no workload. Pure
   // interval arithmetic, so it is recomputed inline even on resumed runs.
@@ -370,18 +296,10 @@ BoundedStaticResult bounded_static_guardband(const netlist::Module& module,
         return build_used_corner_library(module, result.annotated, duties, years, factory,
                                          "reliaware_bounded_static");
       },
-      encode_lib, decode_lib);
-  preflight_library(merged, fresh);
+      artifact::encode_library, artifact::decode_library);
+  preflight_library(merged, &fresh);
 
-  result.report = run.stage(
-      "sta",
-      [&] {
-        sta::GuardbandReport report;
-        report.fresh_cp_ps = sta::Sta(module, fresh, options).critical_delay_ps();
-        report.aged_cp_ps = sta::Sta(result.annotated, merged, options).critical_delay_ps();
-        return report;
-      },
-      encode_report, decode_report);
+  result.report = guardband_stage(run, module, fresh, result.annotated, merged, options);
 
   run.report().fallbacks += count_fallback_points(merged);
   run.report().quarantined += static_cast<int>(factory.quarantined().size() - quarantined_before);

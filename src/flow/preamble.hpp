@@ -1,0 +1,47 @@
+#pragma once
+
+/// \file preamble.hpp
+/// What the guardband, proven and containment flows share: orchestrator
+/// options, the fresh-library stage with its netlist pre-flight, the library
+/// pre-flight, the LB006 fallback count and the fresh-vs-aged "sta" stage.
+/// Internal to src/flow.
+
+#include "charlib/factory.hpp"
+#include "flow/orchestrator.hpp"
+#include "netlist/netlist.hpp"
+#include "sta/guardband.hpp"
+#include "stress/analyzer.hpp"
+
+namespace rw::flow {
+
+/// `*orch`, or RW_FLOW_DIR / RW_FLOW_RESUME when `orch` is null.
+OrchestratorOptions resolve_options(const OrchestratorOptions* orch);
+
+/// The "fresh_library" stage, then the netlist pre-flight against it: a
+/// structurally broken netlist (combinational cycles, multi-driven nets,
+/// bogus λ annotations, ...) is refused with the full diagnostic list
+/// instead of failing deep inside STA or characterization. The library is
+/// factory-generated, so only the netlist + annotation (+ stress) rules run.
+liberty::Library fresh_library_stage(FlowOrchestrator& run, charlib::LibraryFactory& factory,
+                                     const netlist::Module& module,
+                                     const stress::AnalyzeOptions* stress_options = nullptr);
+
+/// Library pre-flight, against `fresh` when given: broken tables abort, and
+/// warnings (notably LB006 fallback points from cells whose OPC grid did not
+/// fully converge) are reported, so timing that rests on second-class data
+/// is visible (RW_LINT_MIN_SEVERITY can silence them).
+void preflight_library(const liberty::Library& library,
+                       const liberty::Library* fresh = nullptr);
+
+/// LB006 fallback points of a library: the RunReport's `fallbacks` counter.
+int count_fallback_points(const liberty::Library& library);
+
+/// The "sta" stage: the critical path of `module` against `fresh` and of
+/// `aged_module` against `aged`, checkpointed as two hexfloat doubles.
+sta::GuardbandReport guardband_stage(FlowOrchestrator& run, const netlist::Module& module,
+                                     const liberty::Library& fresh,
+                                     const netlist::Module& aged_module,
+                                     const liberty::Library& aged,
+                                     const sta::StaOptions& options);
+
+}  // namespace rw::flow

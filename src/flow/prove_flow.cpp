@@ -5,6 +5,7 @@
 
 #include "charlib/interval_query.hpp"
 #include "flow/artifact.hpp"
+#include "flow/preamble.hpp"
 #include "lint/linter.hpp"
 #include "sta/analysis.hpp"
 #include "util/thread_pool.hpp"
@@ -12,37 +13,6 @@
 namespace rw::flow {
 
 namespace {
-
-void preflight(const netlist::Module& module, const liberty::Library& fresh,
-               const stress::AnalyzeOptions* stress_options) {
-  lint::LintSubject subject;
-  subject.module = &module;
-  subject.library = &fresh;
-  subject.stress = stress_options;
-  lint::report_diagnostics(lint::lint_or_throw(lint::Linter::netlist_linter(), subject));
-}
-
-void preflight_library(const liberty::Library& aged, const liberty::Library& fresh) {
-  lint::LintSubject subject;
-  subject.library = &aged;
-  subject.fresh = &fresh;
-  lint::report_diagnostics(lint::lint_or_throw(lint::Linter::library_linter(), subject));
-}
-
-int count_fallback_points(const liberty::Library& library) {
-  int n = 0;
-  for (const liberty::Cell& cell : library.cells()) n += static_cast<int>(cell.fallbacks.size());
-  return n;
-}
-
-OrchestratorOptions resolve(const OrchestratorOptions* orch) {
-  return orch != nullptr ? *orch : OrchestratorOptions::from_env();
-}
-
-std::string encode_lib(const liberty::Library& library) {
-  return artifact::encode_library(library);
-}
-liberty::Library decode_lib(const std::string& text) { return artifact::decode_library(text); }
 
 /// The merged bracket library: every distinct (base cell, bracket corner)
 /// pair some instance's proven bound needs, characterized in parallel and
@@ -79,13 +49,10 @@ ProvenGuardbandResult proven_guardband(const netlist::Module& module,
                                        const stress::AnalyzeOptions& stress_options,
                                        const sta::StaOptions& sta_options,
                                        double width_budget_ps, const OrchestratorOptions* orch) {
-  FlowOrchestrator run("proven_guardband", resolve(orch));
+  FlowOrchestrator run("proven_guardband", resolve_options(orch));
   const std::size_t quarantined_before = factory.quarantined().size();
 
-  const liberty::Library fresh = run.stage(
-      "fresh_library", [&] { return factory.library(aging::AgingScenario::fresh()); },
-      encode_lib, decode_lib);
-  preflight(module, fresh, &stress_options);
+  const liberty::Library fresh = fresh_library_stage(run, factory, module, &stress_options);
 
   // 1. Prove per-instance λ bounds — pure interval arithmetic, recomputed
   // inline even on resumed runs.
@@ -105,8 +72,8 @@ ProvenGuardbandResult proven_guardband(const netlist::Module& module,
   const liberty::Library merged = run.stage(
       "prove_corners",
       [&] { return build_bracket_library(factory, distinct); },
-      encode_lib, decode_lib);
-  preflight_library(merged, fresh);
+      artifact::encode_library, artifact::decode_library);
+  preflight_library(merged, &fresh);
 
   // 3. Interval STA over the bracket corners; the scalar fresh STA anchors
   // the guardband. Serial + deterministic, recomputed inline.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "util/strings.hpp"
+
 namespace rw::liberty {
 
 std::vector<const Pin*> Cell::input_pins() const {
@@ -64,6 +66,25 @@ const Cell& Library::at(const std::string& cell_name) const {
     throw std::out_of_range("Library::at: no cell " + cell_name + " in " + name_);
   }
   return *c;
+}
+
+Cell Library::take(const std::string& cell_name) && {
+  const auto it = index_.find(cell_name);
+  if (it == index_.end()) throw std::out_of_range("Library::take: unknown cell " + cell_name);
+  return std::move(cells_[it->second]);
+}
+
+ResolvedCell resolve_cell(const Library& library, const std::string& name, IndexRange range) {
+  ResolvedCell r;
+  r.base = name;
+  r.indexed = util::split_indexed_cell_name(name, r.base, r.lambda_p, r.lambda_n);
+  r.cell = library.find(name);
+  r.exact = r.cell != nullptr;
+  const bool in_range = range == IndexRange::kAny ||
+                        (r.lambda_p >= 0.0 && r.lambda_p <= 1.0 && r.lambda_n >= 0.0 &&
+                         r.lambda_n <= 1.0);
+  if (r.cell == nullptr && r.indexed && in_range) r.cell = library.find(r.base);
+  return r;
 }
 
 std::vector<const Cell*> Library::family(const std::string& family_name) const {

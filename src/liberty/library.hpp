@@ -97,6 +97,9 @@ class Library {
   [[nodiscard]] const Cell& at(const std::string& cell_name) const;
   [[nodiscard]] const std::vector<Cell>& cells() const { return cells_; }
   [[nodiscard]] std::size_t size() const { return cells_.size(); }
+  /// Moves a cell out of a library that is about to be destroyed.
+  /// \throws std::out_of_range when absent.
+  [[nodiscard]] Cell take(const std::string& cell_name) &&;
 
   /// Cells of a family ordered by drive strength (for gate sizing).
   [[nodiscard]] std::vector<const Cell*> family(const std::string& family_name) const;
@@ -106,5 +109,27 @@ class Library {
   std::vector<Cell> cells_;
   std::unordered_map<std::string, std::size_t> index_;
 };
+
+/// Which λ indices `resolve_cell` maps to their base cell.
+enum class IndexRange {
+  kAny,   ///< every index, so a lint rule can report an out-of-range one
+  kUnit,  ///< only indices in [0,1], the ones a merged library holds
+};
+
+/// How an instance's cell name maps onto a library.
+struct ResolvedCell {
+  const Cell* cell = nullptr;  ///< exact match, or the base cell for indexed names
+  bool indexed = false;  ///< name parses as `<base>_<λp>_<λn>` (whatever the range)
+  bool exact = false;    ///< the library holds the name verbatim
+  std::string base;      ///< base cell name (== name when !indexed)
+  double lambda_p = 0.0;
+  double lambda_n = 0.0;
+};
+
+/// Looks up an instance's cell name: the exact name first, else, for a
+/// λ-indexed name whose index is in `range`, its base cell. Every corner of
+/// a cell shares the base's pins and Boolean function, so those stay
+/// checkable even when the indexed corner itself is absent.
+ResolvedCell resolve_cell(const Library& library, const std::string& name, IndexRange range);
 
 }  // namespace rw::liberty

@@ -26,19 +26,9 @@ class ActivityRule final : public Rule {
     return "measured and proven switching activity agree; quiet nets and hotspots reported";
   }
   void run(const LintSubject& subject, std::vector<Diagnostic>& out) const override {
-    if (subject.module == nullptr || subject.library == nullptr) return;
+    if (!analyzable(subject)) return;
     const netlist::Module& m = *subject.module;
     const liberty::Library& lib = *subject.library;
-    if (!m.check().empty()) return;
-    for (const auto& inst : m.instances()) {
-      const ResolvedCell r = resolve_cell(lib, inst.cell);
-      if (r.cell == nullptr) return;
-      if (inst.fanin.size() != static_cast<std::size_t>(r.cell->n_inputs())) return;
-      if (r.indexed && (r.lambda_p < 0.0 || r.lambda_p > 1.0 || r.lambda_n < 0.0 ||
-                        r.lambda_n > 1.0)) {
-        return;
-      }
-    }
 
     stress::ActivityOptions options;
     if (subject.activity != nullptr) {

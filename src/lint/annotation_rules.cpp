@@ -49,7 +49,7 @@ class AnnotationRule final : public Rule {
     for (std::size_t i = 0; i < m.instances().size(); ++i) {
       const auto& inst = m.instances()[i];
       const std::string loc = m.name() + ":inst " + inst.name;
-      const ResolvedCell r = resolve_cell(lib, inst.cell);
+      const ResolvedCell r = resolve_cell(lib, inst.cell, IndexRange::kAny);
       if (!r.indexed) {
         if (r.exact && indexed_bases.count(inst.cell) != 0) {
           out.push_back(Diagnostic{rules::kUnannotated, Severity::kWarning, loc,

@@ -211,7 +211,7 @@ class AgingInversionRule final : public Rule {
       return;
     }
     for (const auto& cell : subject.library->cells()) {
-      const ResolvedCell r = resolve_cell(*subject.fresh, cell.name);
+      const ResolvedCell r = resolve_cell(*subject.fresh, cell.name, IndexRange::kAny);
       const liberty::Cell* fresh = r.cell;
       if (fresh == nullptr || fresh == &cell) continue;
       for (const auto& arc : cell.arcs) {

@@ -1,24 +1,14 @@
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "lint/rules.hpp"
+#include "netlist/graph.hpp"
 #include "util/strings.hpp"
 
 namespace rw::lint {
-
-ResolvedCell resolve_cell(const liberty::Library& library, const std::string& name) {
-  ResolvedCell r;
-  r.base = name;
-  // No [0,1] check here: AN001 exists to report an out-of-range index,
-  // which NL005 would otherwise misread as an unknown cell.
-  r.indexed = util::split_indexed_cell_name(name, r.base, r.lambda_p, r.lambda_n);
-  r.cell = library.find(name);
-  r.exact = r.cell != nullptr;
-  if (r.cell == nullptr && r.indexed) r.cell = library.find(r.base);
-  return r;
-}
 
 bool library_has_variant(const liberty::Library& library, const std::string& base) {
   if (library.find(base) != nullptr) return true;
@@ -33,18 +23,26 @@ bool library_has_variant(const liberty::Library& library, const std::string& bas
   return false;
 }
 
+bool analyzable(const LintSubject& subject) {
+  if (subject.module == nullptr || subject.library == nullptr) return false;
+  const netlist::Module& m = *subject.module;
+  if (!m.check().empty()) return false;
+  for (const auto& inst : m.instances()) {
+    const ResolvedCell r = resolve_cell(*subject.library, inst.cell, IndexRange::kAny);
+    if (r.cell == nullptr) return false;
+    if (inst.fanin.size() != static_cast<std::size_t>(r.cell->n_inputs())) return false;
+    if (r.indexed && (r.lambda_p < 0.0 || r.lambda_p > 1.0 || r.lambda_n < 0.0 ||
+                      r.lambda_n > 1.0)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 namespace {
 
 std::string inst_loc(const netlist::Module& module, std::size_t index) {
   return module.name() + ":inst " + module.instances()[index].name;
-}
-
-/// True when the instance is a sequential element (flops cut the timing
-/// graph). Unresolvable cells are conservatively treated as combinational.
-bool is_flop(const LintSubject& subject, const netlist::Instance& inst) {
-  if (subject.library == nullptr) return false;
-  const ResolvedCell r = resolve_cell(*subject.library, inst.cell);
-  return r.cell != nullptr && r.cell->is_flop;
 }
 
 /// NL002 / NL003 / NL006(no output): the structural invariants collected by
@@ -62,8 +60,9 @@ class StructureRule final : public Rule {
   }
 };
 
-/// NL001: combinational cycles. DFS over combinational instances (flops cut
-/// the graph); each cycle is reported once, with the instance path.
+/// NL001: combinational cycles, as `netlist::Graph` defines them. When the
+/// graph leaves instances unlevelled, a DFS over its edges reports each
+/// cycle once, with the instance path.
 class CombCycleRule final : public Rule {
  public:
   [[nodiscard]] std::string_view id() const override { return "netlist.cycles"; }
@@ -74,24 +73,15 @@ class CombCycleRule final : public Rule {
     if (subject.module == nullptr) return;
     const netlist::Module& m = *subject.module;
     const std::size_t n = m.instances().size();
-
-    std::vector<bool> flop(n, false);
-    for (std::size_t i = 0; i < n; ++i) flop[i] = is_flop(subject, m.instances()[i]);
-
-    // Sink adjacency over combinational instances only. extra_drivers are
-    // not edges — multi-driven nets are NL003's problem, and following them
-    // would double-report.
-    std::vector<std::vector<int>> sinks_of(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (flop[i]) continue;
-      const auto& fanin = m.instances()[i].fanin;
-      for (netlist::NetId f : fanin) {
-        const int d = f == netlist::kNoNet ? -1 : m.driver(f);
-        if (d >= 0 && !flop[static_cast<std::size_t>(d)]) {
-          sinks_of[static_cast<std::size_t>(d)].push_back(static_cast<int>(i));
-        }
-      }
+    // Unresolvable cells are conservatively combinational.
+    std::vector<std::uint8_t> flop(n, 0);
+    for (std::size_t i = 0; subject.library != nullptr && i < n; ++i) {
+      const ResolvedCell r =
+          resolve_cell(*subject.library, m.instances()[i].cell, IndexRange::kAny);
+      flop[i] = r.cell != nullptr && r.cell->is_flop ? 1 : 0;
     }
+    const netlist::Graph graph(m, std::move(flop));
+    if (graph.unlevelled().empty()) return;
 
     // Iterative coloring DFS; when a grey node is re-entered, the stack
     // segment from its first visit is the cycle.
@@ -100,14 +90,15 @@ class CombCycleRule final : public Rule {
     std::vector<int> stack;        // DFS path (grey nodes, in order)
     std::vector<std::size_t> next; // per path entry: next sink index to try
     for (std::size_t root = 0; root < n; ++root) {
-      if (color[root] != kWhite || flop[root]) continue;
+      if (color[root] != kWhite || graph.is_flop(root)) continue;
       stack.assign(1, static_cast<int>(root));
       next.assign(1, 0);
       color[root] = kGrey;
       while (!stack.empty()) {
         const auto u = static_cast<std::size_t>(stack.back());
-        if (next.back() < sinks_of[u].size()) {
-          const int v = sinks_of[u][next.back()++];
+        const auto sinks = graph.sinks(u);
+        if (next.back() < sinks.size()) {
+          const int v = sinks[next.back()++];
           const auto vu = static_cast<std::size_t>(v);
           if (color[vu] == kWhite) {
             color[vu] = kGrey;
@@ -180,7 +171,7 @@ class CellRefRule final : public Rule {
     const netlist::Module& m = *subject.module;
     for (std::size_t i = 0; i < m.instances().size(); ++i) {
       const auto& inst = m.instances()[i];
-      const ResolvedCell r = resolve_cell(*subject.library, inst.cell);
+      const ResolvedCell r = resolve_cell(*subject.library, inst.cell, IndexRange::kAny);
       if (r.cell == nullptr) {
         if (r.indexed && library_has_variant(*subject.library, r.base)) continue;  // -> AN002
         out.push_back(Diagnostic{rules::kUnknownCell, Severity::kError, inst_loc(m, i),

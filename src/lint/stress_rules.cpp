@@ -28,19 +28,9 @@ class StressRule final : public Rule {
     return "annotations and net activity respect statically proven duty-cycle bounds";
   }
   void run(const LintSubject& subject, std::vector<Diagnostic>& out) const override {
-    if (subject.module == nullptr || subject.library == nullptr) return;
+    if (!analyzable(subject)) return;
     const netlist::Module& m = *subject.module;
     const liberty::Library& lib = *subject.library;
-    if (!m.check().empty()) return;
-    for (const auto& inst : m.instances()) {
-      const ResolvedCell r = resolve_cell(lib, inst.cell);
-      if (r.cell == nullptr) return;
-      if (inst.fanin.size() != static_cast<std::size_t>(r.cell->n_inputs())) return;
-      if (r.indexed && (r.lambda_p < 0.0 || r.lambda_p > 1.0 || r.lambda_n < 0.0 ||
-                        r.lambda_n > 1.0)) {
-        return;
-      }
-    }
 
     const stress::AnalyzeOptions options =
         subject.stress != nullptr ? *subject.stress : stress::AnalyzeOptions{};
@@ -57,7 +47,7 @@ class StressRule final : public Rule {
     const double step = subject.lambda_step;
     for (std::size_t i = 0; i < m.instances().size(); ++i) {
       const auto& inst = m.instances()[i];
-      const ResolvedCell r = resolve_cell(lib, inst.cell);
+      const ResolvedCell r = resolve_cell(lib, inst.cell, IndexRange::kAny);
       if (!r.indexed) continue;
       const stress::InstanceBounds& b = report.instances[i];
       const auto check = [&](const char* which, double q, const stress::Interval& bound) {

@@ -3,19 +3,21 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "sta/graph.hpp"
+#include "netlist/graph.hpp"
 
 namespace rw::logicsim {
 
 CycleSimulator::CycleSimulator(const netlist::Module& module, const liberty::Library& library)
     : module_(module), library_(library) {
   const auto& instances = module.instances();
-  const sta::Adjacency adj = sta::Adjacency::build(module, library);
-  fanin_start_.reserve(adj.comb_topo.size() + 1);
+  const netlist::Graph graph(module, library);
+  graph.require_acyclic("CycleSimulator");
+  const auto order = graph.order();
+  fanin_start_.reserve(order.size() + 1);
   fanin_start_.push_back(0);
-  out_.reserve(adj.comb_topo.size());
-  truth_.reserve(adj.comb_topo.size());
-  for (const int idx : adj.comb_topo) {
+  out_.reserve(order.size());
+  truth_.reserve(order.size());
+  for (const int idx : order) {
     const netlist::Instance& inst = instances[static_cast<std::size_t>(idx)];
     fanin_.insert(fanin_.end(), inst.fanin.begin(), inst.fanin.end());
     fanin_start_.push_back(static_cast<std::int32_t>(fanin_.size()));
@@ -23,7 +25,7 @@ CycleSimulator::CycleSimulator(const netlist::Module& module, const liberty::Lib
     truth_.push_back(library.at(inst.cell).truth);
   }
   for (std::size_t i = 0; i < instances.size(); ++i) {
-    if (!adj.is_flop[i]) continue;
+    if (!graph.is_flop(i)) continue;
     flop_q_.push_back(instances[i].out);
     flop_d_.push_back(instances[i].fanin[0]);  // D pin
   }

@@ -7,7 +7,7 @@
 /// model and the activity/duty-cycle extractor of the dynamic-aging flow
 /// (Modelsim's role in Fig. 4(b)).
 ///
-/// The module is compiled once, in `sta::Adjacency`'s topological order,
+/// The module is compiled once, in `netlist::Graph`'s topological order,
 /// into flat arrays — fanin CSR, output net and truth word per
 /// combinational gate, (Q, D) per flop — and the state is one byte per
 /// net, so a cycle reads nothing but these arrays.

@@ -12,7 +12,8 @@ TimingSimulator::TimingSimulator(const netlist::Module& module, const liberty::L
       library_(library),
       annotation_(annotation),
       period_ps_(period_ps),
-      adj_(sta::Adjacency::build(module, library)) {
+      graph_(module, library) {
+  graph_.require_acyclic("TimingSimulator");
   if (period_ps <= 0.0) throw std::invalid_argument("TimingSimulator: period must be positive");
   const auto n_nets = static_cast<std::size_t>(module.net_count());
   net_value_.assign(n_nets, false);
@@ -48,7 +49,7 @@ void TimingSimulator::reset() {
     net_value_[static_cast<std::size_t>(inst.out)] = flop_state_[f];
   }
   bool pins[8];
-  for (const int idx : adj_.comb_topo) {
+  for (const int idx : graph_.order()) {
     const auto& inst = module_.instances()[static_cast<std::size_t>(idx)];
     for (std::size_t p = 0; p < inst.fanin.size(); ++p) {
       pins[p] = net_value_[static_cast<std::size_t>(inst.fanin[p])];
@@ -78,9 +79,9 @@ void TimingSimulator::schedule(double t_ps, netlist::NetId net, bool value) {
 }
 
 void TimingSimulator::evaluate_sinks(netlist::NetId net, double t_ps) {
-  for (const netlist::PinUse use : adj_.fanout.sinks(net)) {
+  for (const netlist::PinUse use : graph_.fanout().sinks(net)) {
     const int sink = use.instance;
-    if (adj_.is_flop[static_cast<std::size_t>(sink)]) continue;  // flops sample at edges only
+    if (graph_.is_flop(static_cast<std::size_t>(sink))) continue;  // flops sample at edges only
     const auto& inst = module_.instances()[static_cast<std::size_t>(sink)];
     bool pins[8];
     int cause_pin = -1;

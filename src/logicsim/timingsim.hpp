@@ -12,9 +12,9 @@
 #include <vector>
 
 #include "liberty/library.hpp"
+#include "netlist/graph.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/sdf.hpp"
-#include "sta/graph.hpp"
 
 namespace rw::logicsim {
 
@@ -66,7 +66,7 @@ class TimingSimulator {
   const liberty::Library& library_;
   const netlist::DelayAnnotation& annotation_;
   double period_ps_;
-  sta::Adjacency adj_;
+  netlist::Graph graph_;
 
   std::vector<bool> net_value_;
   std::vector<bool> sampled_value_;

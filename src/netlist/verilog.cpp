@@ -4,8 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "util/strings.hpp"
-
 namespace rw::netlist {
 
 namespace {
@@ -159,15 +157,12 @@ Module parse_verilog(const std::string& text, const liberty::Library& library,
     } else {
       // Instance: <cell> <name> ( .PIN(net), ... );
       const std::string cell_name = tok;
-      const liberty::Cell* cell = library.find(cell_name);
-      if (cell == nullptr && options.lenient) {
-        // λ-indexed name whose exact corner is absent: the base cell still
-        // defines the pin layout.
-        std::string base;
-        double lp = 0.0;
-        double ln = 0.0;
-        if (util::parse_indexed_cell_name(cell_name, base, lp, ln)) cell = library.find(base);
-      }
+      // A lenient parse accepts a λ-indexed name whose exact corner is
+      // absent: the base cell still defines the pin layout.
+      const liberty::Cell* cell =
+          options.lenient
+              ? liberty::resolve_cell(library, cell_name, liberty::IndexRange::kUnit).cell
+              : library.find(cell_name);
       if (cell == nullptr && !options.lenient) tz.fail("unknown cell " + cell_name);
       const std::string inst_name = tz.next();
       expect("(");

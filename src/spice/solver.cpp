@@ -528,10 +528,6 @@ void TransientResult::record(double t_ps, const std::vector<double>& node_voltag
   final_ = node_voltages;
 }
 
-double TransientResult::final_voltage(NodeId node) const {
-  return final_[static_cast<std::size_t>(node)];
-}
-
 std::vector<double> dc_operating_point(const Circuit& circuit, double t_ps,
                                        const TransientOptions& options) {
   return solve_dc(circuit, t_ps, options);

@@ -117,7 +117,6 @@ class TransientResult {
 
   [[nodiscard]] const Waveform& waveform(NodeId node) const;
   void record(double t_ps, const std::vector<double>& node_voltages);
-  [[nodiscard]] double final_voltage(NodeId node) const;
   [[nodiscard]] const std::vector<double>& final_voltages() const { return final_; }
 
  private:

@@ -62,14 +62,4 @@ std::optional<double> Waveform::last_crossing(double level, bool rising) const {
   return result;
 }
 
-double Waveform::min_value() const {
-  if (v_.empty()) throw std::out_of_range("Waveform: empty");
-  return *std::min_element(v_.begin(), v_.end());
-}
-
-double Waveform::max_value() const {
-  if (v_.empty()) throw std::out_of_range("Waveform: empty");
-  return *std::max_element(v_.begin(), v_.end());
-}
-
 }  // namespace rw::spice

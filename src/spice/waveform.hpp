@@ -33,9 +33,6 @@ class Waveform {
   /// against non-monotone glitches (short-circuit bumps) before settling.
   [[nodiscard]] std::optional<double> last_crossing(double level, bool rising) const;
 
-  [[nodiscard]] double min_value() const;
-  [[nodiscard]] double max_value() const;
-
  private:
   std::vector<double> t_;
   std::vector<double> v_;

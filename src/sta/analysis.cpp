@@ -29,6 +29,19 @@ unsigned contributing_input_edges(liberty::TimingSense sense, bool out_rising) {
 
 }  // namespace
 
+double net_load_ff(const netlist::Module& module, const liberty::Library& library,
+                   const StaOptions& options, const netlist::Fanout& fanout,
+                   netlist::NetId net) {
+  double load = 0.0;
+  for (const netlist::PinUse use : fanout.sinks(net)) {
+    const auto& inst = module.instances()[static_cast<std::size_t>(use.instance)];
+    load += library.at(inst.cell).input_pins()[static_cast<std::size_t>(use.pin)]->cap_ff;
+  }
+  for (int k = 0; k < fanout.po_uses(net); ++k) load += options.po_load_ff;
+  load += options.wire_cap_per_fanout_ff * fanout.count(net);
+  return load;
+}
+
 ArcEdge lookup_arc_edge(const liberty::TimingArc& arc, bool out_rising, double in_slew_ps,
                         double load_ff) {
   const liberty::TimingTable& table = out_rising ? arc.rise : arc.fall;
@@ -46,11 +59,13 @@ Sta::Sta(const netlist::Module& module, const liberty::Library& library, StaOpti
     : module_(module),
       library_(library),
       options_(options),
-      adj_(Adjacency::build(module, library)) {
+      graph_(module, library) {
+  graph_.require_acyclic("Sta");
   const auto n_nets = static_cast<std::size_t>(module.net_count());
   load_ff_.resize(n_nets);
   for (netlist::NetId n = 0; n < module.net_count(); ++n) {
-    load_ff_[static_cast<std::size_t>(n)] = net_load_ff(module, library, options_, adj_, n);
+    load_ff_[static_cast<std::size_t>(n)] =
+        net_load_ff(module, library, options_, graph_.fanout(), n);
   }
   net_timing_.assign(n_nets, NetTiming{});
   propagate();
@@ -69,7 +84,8 @@ void Sta::compute_required() {
     required_ps_[2 * i + kFall] = std::min(required_ps_[2 * i + kFall], target - ep.setup_ps);
   }
   const auto& instances = module_.instances();
-  for (auto it = adj_.comb_topo.rbegin(); it != adj_.comb_topo.rend(); ++it) {
+  const auto order = graph_.order();
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const auto& inst = instances[static_cast<std::size_t>(*it)];
     const liberty::Cell& cell = library_.at(inst.cell);
     const double load = load_ff_[static_cast<std::size_t>(inst.out)];
@@ -121,7 +137,7 @@ void Sta::propagate() {
   // ...and flop outputs (CK->Q arc at clock slew).
   const auto& instances = module_.instances();
   for (std::size_t i = 0; i < instances.size(); ++i) {
-    if (!adj_.is_flop[i]) continue;
+    if (!graph_.is_flop(i)) continue;
     const auto& inst = instances[i];
     const liberty::Cell& cell = library_.at(inst.cell);
     const liberty::TimingArc* arc = cell.arc_from("CK");
@@ -140,7 +156,7 @@ void Sta::propagate() {
 
   // Propagate through combinational instances in topological order.
   std::size_t visited = 0;
-  for (const int idx : adj_.comb_topo) {
+  for (const int idx : graph_.order()) {
     // Cancellation poll, amortized: large designs make propagate() the
     // longest serial section between parallel regions.
     if ((++visited & 0xFFU) == 0U) flow::throw_if_cancelled();
@@ -195,7 +211,7 @@ void Sta::compute_endpoints() {
   for (netlist::NetId po : module_.outputs()) add_endpoint(po, false, -1, 0.0);
   const auto& instances = module_.instances();
   for (std::size_t i = 0; i < instances.size(); ++i) {
-    if (!adj_.is_flop[i]) continue;
+    if (!graph_.is_flop(i)) continue;
     const liberty::Cell& cell = library_.at(instances[i].cell);
     // Pin order of DFF is {D, CK}; endpoint is the D net.
     add_endpoint(instances[i].fanin[0], true, static_cast<int>(i), cell.setup_ps);
@@ -209,11 +225,6 @@ const NetTiming& Sta::timing(netlist::NetId net) const {
 }
 
 double Sta::load_ff(netlist::NetId net) const { return load_ff_[static_cast<std::size_t>(net)]; }
-
-double Sta::worst_arrival_ps(netlist::NetId net) const {
-  const auto& t = net_timing_[static_cast<std::size_t>(net)];
-  return std::max(t.arrival_ps[kRise], t.arrival_ps[kFall]);
-}
 
 double Sta::critical_delay_ps() const {
   if (endpoints_.empty()) throw std::runtime_error("Sta::critical_delay_ps: no endpoints");

@@ -10,9 +10,22 @@
 #include <string>
 #include <vector>
 
-#include "sta/graph.hpp"
+#include "liberty/library.hpp"
+#include "netlist/graph.hpp"
 
 namespace rw::sta {
+
+struct StaOptions {
+  double input_slew_ps = 40.0;  ///< slew assumed at primary inputs and the clock pin
+  double po_load_ff = 2.0;      ///< capacitance assumed at primary outputs
+  double wire_cap_per_fanout_ff = 0.15;  ///< crude wire-load model
+};
+
+/// Total capacitive load on a net: sink pin caps, the wire-load model and
+/// the primary-output load.
+double net_load_ff(const netlist::Module& module, const liberty::Library& library,
+                   const StaOptions& options, const netlist::Fanout& fanout,
+                   netlist::NetId net);
 
 inline constexpr double kNeverArrives = std::numeric_limits<double>::lowest();
 
@@ -50,9 +63,6 @@ class Sta {
   /// +infinity for nets with no downstream endpoint.
   [[nodiscard]] double slack_ps(netlist::NetId net) const;
 
-  /// Worst arrival over a net's two edges (kNeverArrives if unreachable).
-  [[nodiscard]] double worst_arrival_ps(netlist::NetId net) const;
-
   /// All endpoints sorted by cost (descending).
   [[nodiscard]] const std::vector<Endpoint>& endpoints() const { return endpoints_; }
 
@@ -64,7 +74,6 @@ class Sta {
   [[nodiscard]] const netlist::Module& module() const { return module_; }
   [[nodiscard]] const liberty::Library& library() const { return library_; }
   [[nodiscard]] const StaOptions& options() const { return options_; }
-  [[nodiscard]] const Adjacency& adjacency() const { return adj_; }
 
  private:
   void propagate();
@@ -74,7 +83,7 @@ class Sta {
   const netlist::Module& module_;
   const liberty::Library& library_;
   StaOptions options_;
-  Adjacency adj_;
+  netlist::Graph graph_;
   std::vector<double> load_ff_;
   std::vector<NetTiming> net_timing_;
   std::vector<Endpoint> endpoints_;

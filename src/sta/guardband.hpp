@@ -7,7 +7,7 @@
 
 #include "liberty/library.hpp"
 #include "netlist/netlist.hpp"
-#include "sta/graph.hpp"
+#include "sta/analysis.hpp"
 
 namespace rw::sta {
 

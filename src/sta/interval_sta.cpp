@@ -109,7 +109,8 @@ IntervalSta::IntervalSta(const netlist::Module& module, const liberty::Library& 
       fresh_(fresh),
       corners_(corners),
       options_(options),
-      adj_(Adjacency::build(module, fresh)) {
+      graph_(module, fresh) {
+  graph_.require_acyclic("IntervalSta");
   if (corners_.size() != module.instances().size()) {
     throw std::runtime_error("IntervalSta: corners not aligned with instances");
   }
@@ -137,7 +138,7 @@ void IntervalSta::compute_loads() {
   load_ff_.assign(static_cast<std::size_t>(module_.net_count()), stress::RealInterval{});
   for (netlist::NetId net = 0; net < module_.net_count(); ++net) {
     stress::RealInterval load{0.0, 0.0};
-    for (const netlist::PinUse use : adj_.fanout.sinks(net)) {
+    for (const netlist::PinUse use : graph_.fanout().sinks(net)) {
       const auto p = static_cast<std::size_t>(use.pin);
       const charlib::InstanceCorners& ic = corners_[static_cast<std::size_t>(use.instance)];
       double cap_lo = 0.0;
@@ -161,11 +162,11 @@ void IntervalSta::compute_loads() {
       load.lo += cap_lo;
       load.hi += cap_hi;
     }
-    for (int k = 0; k < adj_.fanout.po_uses(net); ++k) {
+    for (int k = 0; k < graph_.fanout().po_uses(net); ++k) {
       load.lo += options_.po_load_ff;
       load.hi += options_.po_load_ff;
     }
-    const int fanout = adj_.fanout.count(net);
+    const int fanout = graph_.fanout().count(net);
     load.lo += options_.wire_cap_per_fanout_ff * fanout;
     load.hi += options_.wire_cap_per_fanout_ff * fanout;
     load_ff_[static_cast<std::size_t>(net)] = load;
@@ -184,7 +185,7 @@ void IntervalSta::propagate() {
   // ...and flop outputs (CK->Q arc at clock slew).
   const auto& instances = module_.instances();
   for (std::size_t i = 0; i < instances.size(); ++i) {
-    if (!adj_.is_flop[i]) continue;
+    if (!graph_.is_flop(i)) continue;
     const auto& inst = instances[i];
     const charlib::InstanceCorners& ic = corners_[i];
     if (ic.fresh->arc_from("CK") == nullptr) {
@@ -219,7 +220,7 @@ void IntervalSta::propagate() {
   };
   std::vector<Cand> cands[2];
   std::size_t visited = 0;
-  for (const int idx : adj_.comb_topo) {
+  for (const int idx : graph_.order()) {
     if ((++visited & 0xFFU) == 0U) flow::throw_if_cancelled();
     const auto& inst = instances[static_cast<std::size_t>(idx)];
     const charlib::InstanceCorners& ic = corners_[static_cast<std::size_t>(idx)];
@@ -320,7 +321,7 @@ void IntervalSta::compute_endpoints() {
   }
   const auto& instances = module_.instances();
   for (std::size_t i = 0; i < instances.size(); ++i) {
-    if (!adj_.is_flop[i]) continue;
+    if (!graph_.is_flop(i)) continue;
     const charlib::InstanceCorners& ic = corners_[i];
     // Setup over the flop's bracket corners, widened by the certified
     // interpolation bound (amp = 1: setup is a direct entry, not a lookup).

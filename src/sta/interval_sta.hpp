@@ -48,8 +48,8 @@
 #include <vector>
 
 #include "charlib/interval_query.hpp"
+#include "netlist/graph.hpp"
 #include "sta/analysis.hpp"
-#include "sta/graph.hpp"
 #include "stress/interval.hpp"
 
 namespace rw::sta {
@@ -149,7 +149,7 @@ class IntervalSta {
   const liberty::Library& fresh_;
   const std::vector<charlib::InstanceCorners>& corners_;
   StaOptions options_;
-  Adjacency adj_;
+  netlist::Graph graph_;
   std::vector<stress::RealInterval> load_ff_;
   std::vector<NetIntervalTiming> net_timing_;
   std::vector<IntervalEndpoint> endpoints_;

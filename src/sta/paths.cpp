@@ -77,7 +77,7 @@ std::vector<TimingPath> worst_endpoint_paths(const Sta& sta, std::size_t k) {
 double evaluate_path_ps(const netlist::Module& module, const liberty::Library& library,
                         const TimingPath& path, const StaOptions& options) {
   if (path.steps.empty()) throw std::invalid_argument("evaluate_path_ps: empty path");
-  const Adjacency adj = Adjacency::build(module, library);
+  const netlist::Fanout fanout(module);
 
   double arrival = 0.0;
   double slew = options.input_slew_ps;
@@ -94,7 +94,7 @@ double evaluate_path_ps(const netlist::Module& module, const liberty::Library& l
         if (cell.is_flop) {
           const liberty::TimingArc* arc = cell.arc_from("CK");
           if (arc == nullptr) throw std::runtime_error("evaluate_path_ps: flop without CK arc");
-          const double load = net_load_ff(module, library, options, adj, step.net);
+          const double load = net_load_ff(module, library, options, fanout, step.net);
           const ArcEdge e =
               lookup_arc_edge(*arc, step.out_rising, options.input_slew_ps, load);
           arrival = e.delay_ps;
@@ -112,7 +112,7 @@ double evaluate_path_ps(const netlist::Module& module, const liberty::Library& l
     const liberty::TimingArc* arc =
         cell.arc_from(input_pins[static_cast<std::size_t>(step.input_pin)]->name);
     if (arc == nullptr) throw std::runtime_error("evaluate_path_ps: missing arc");
-    const double load = net_load_ff(module, library, options, adj, step.net);
+    const double load = net_load_ff(module, library, options, fanout, step.net);
     const ArcEdge e = lookup_arc_edge(*arc, step.out_rising, slew, load);
     arrival += e.delay_ps;
     slew = e.out_slew_ps;

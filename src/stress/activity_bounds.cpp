@@ -338,11 +338,15 @@ ActivityReport analyze_network_activity(const NetworkModel& model,
   };
   util::ThreadPool& pool = util::ThreadPool::shared();
   const bool parallel = options.probability.parallel;
-  for (const auto& lv : model.levels()) {
+  const netlist::Graph& graph = model.graph();
+  for (std::size_t l = 0; l < graph.level_count(); ++l) {
+    const auto lv = graph.level(l);
     if (parallel && lv.size() > 1) {
-      pool.parallel_for(lv.size(), [&](std::size_t idx) { eval_density(lv[idx]); });
+      pool.parallel_for(lv.size(), [&](std::size_t idx) {
+        eval_density(static_cast<std::size_t>(lv[idx]));
+      });
     } else {
-      for (std::size_t i : lv) eval_density(i);
+      for (const std::int32_t i : lv) eval_density(static_cast<std::size_t>(i));
     }
   }
 

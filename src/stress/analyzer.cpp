@@ -165,14 +165,18 @@ StressReport analyze_network(const NetworkModel& model, const AnalyzeOptions& op
   //    flop cut-point update Q ← I(D), intersected with the previous value to
   //    keep the sequence monotone under floating-point noise.
   util::ThreadPool& pool = util::ThreadPool::shared();
+  const netlist::Graph& graph = model.graph();
   report.converged = false;
   for (int iter = 1; iter <= options.max_iterations; ++iter) {
     report.iterations = iter;
-    for (const auto& lv : model.levels()) {
+    for (std::size_t l = 0; l < graph.level_count(); ++l) {
+      const auto lv = graph.level(l);
       if (options.parallel && lv.size() > 1) {
-        pool.parallel_for(lv.size(), [&](std::size_t idx) { eval_instance(lv[idx]); });
+        pool.parallel_for(lv.size(), [&](std::size_t idx) {
+          eval_instance(static_cast<std::size_t>(lv[idx]));
+        });
       } else {
-        for (std::size_t i : lv) eval_instance(i);
+        for (const std::int32_t i : lv) eval_instance(static_cast<std::size_t>(i));
       }
     }
     double max_change = 0.0;

@@ -1,25 +1,9 @@
 #include "stress/network.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 
-#include "util/strings.hpp"
-
 namespace rw::stress {
-
-namespace {
-
-const liberty::Cell* resolve_cell(const liberty::Library& library, const std::string& name) {
-  if (const liberty::Cell* c = library.find(name)) return c;
-  std::string base;
-  double lp = 0.0;
-  double ln = 0.0;
-  if (util::parse_indexed_cell_name(name, base, lp, ln)) return library.find(base);
-  return nullptr;
-}
-
-}  // namespace
 
 bool NetworkModel::supports_overlap(netlist::NetId a, netlist::NetId b) const {
   const auto& sa = support_[static_cast<std::size_t>(a)];
@@ -44,17 +28,17 @@ NetworkModel NetworkModel::build(const netlist::Module& module,
     throw std::runtime_error("stress: module '" + module.name() +
                              "' has multi-driven nets; lint it first");
   }
-  NetworkModel model;
-  model.module_ = &module;
   const auto& instances = module.instances();
   const std::size_t n_inst = instances.size();
   const std::size_t n_net = static_cast<std::size_t>(module.net_count());
 
   // -- Resolve every instance against the library.
-  model.nodes_.resize(n_inst);
+  std::vector<NetworkNode> nodes(n_inst);
+  std::vector<std::uint8_t> is_flop(n_inst, 0);
   for (std::size_t i = 0; i < n_inst; ++i) {
     const netlist::Instance& inst = instances[i];
-    const liberty::Cell* cell = resolve_cell(library, inst.cell);
+    const liberty::Cell* cell =
+        liberty::resolve_cell(library, inst.cell, liberty::IndexRange::kUnit).cell;
     if (cell == nullptr) {
       throw std::runtime_error("stress: unknown cell '" + inst.cell + "' on instance '" +
                                inst.name + "'");
@@ -69,7 +53,7 @@ NetworkModel NetworkModel::build(const netlist::Module& module,
       throw std::runtime_error("stress: cell '" + cell->name + "' exceeds " +
                                std::to_string(kMaxGateInputs) + " inputs");
     }
-    NetworkNode& node = model.nodes_[i];
+    NetworkNode& node = nodes[i];
     node.cell = cell;
     node.k = k;
     node.is_flop = cell->is_flop;
@@ -86,53 +70,10 @@ NetworkModel NetworkModel::build(const netlist::Module& module,
     if (node.is_flop && node.data_pin < 0) {
       throw std::runtime_error("stress: flop cell '" + cell->name + "' has no data pin");
     }
+    is_flop[i] = node.is_flop ? 1 : 0;
   }
-
-  // -- Levelize the combinational instances (Kahn). Sources (PIs, undriven
-  //    nets, flop outputs) sit at level 0.
-  std::vector<int> comb_driver(n_net, -1);
-  for (std::size_t i = 0; i < n_inst; ++i) {
-    if (!model.nodes_[i].is_flop && instances[i].out != netlist::kNoNet) {
-      comb_driver[static_cast<std::size_t>(instances[i].out)] = static_cast<int>(i);
-    }
-  }
-  // In-degree counts fanin *pins* and each sink pin decrements it once, so
-  // an instance with one net on several pins is released exactly when that
-  // net's driver is ordered.
-  const netlist::Fanout fanout(module);
-  std::vector<int> level(n_inst, 0);
-  std::vector<int> indeg(n_inst, 0);
-  std::size_t comb_count = 0;
-  for (std::size_t i = 0; i < n_inst; ++i) {
-    if (model.nodes_[i].is_flop) continue;
-    ++comb_count;
-    for (netlist::NetId f : instances[i].fanin) {
-      if (f != netlist::kNoNet && comb_driver[static_cast<std::size_t>(f)] >= 0) ++indeg[i];
-    }
-  }
-  std::vector<std::size_t> ready;
-  for (std::size_t i = 0; i < n_inst; ++i) {
-    if (!model.nodes_[i].is_flop && indeg[i] == 0) ready.push_back(i);
-  }
-  std::size_t processed = 0;
-  for (std::size_t head = 0; head < ready.size(); ++head) {
-    const std::size_t i = ready[head];
-    ++processed;
-    const int lv = level[i];
-    if (static_cast<std::size_t>(lv) >= model.levels_.size()) model.levels_.resize(lv + 1);
-    model.levels_[static_cast<std::size_t>(lv)].push_back(i);
-    if (instances[i].out == netlist::kNoNet) continue;
-    for (const netlist::PinUse use : fanout.sinks(instances[i].out)) {
-      const auto si = static_cast<std::size_t>(use.instance);
-      if (model.nodes_[si].is_flop) continue;
-      level[si] = std::max(level[si], lv + 1);
-      if (--indeg[si] == 0) ready.push_back(si);
-    }
-  }
-  if (processed != comb_count) {
-    throw std::runtime_error("stress: combinational cycle in module '" + module.name() + "'");
-  }
-  for (auto& lv : model.levels_) std::sort(lv.begin(), lv.end());
+  NetworkModel model(std::move(nodes), netlist::Graph(module, std::move(is_flop)));
+  model.graph_.require_acyclic("stress");
 
   // -- Support bitsets. Sources: every undriven net (PIs, the clock,
   //    danglers) plus every flop output.
@@ -158,20 +99,19 @@ NetworkModel NetworkModel::build(const netlist::Module& module,
   const std::size_t max_passes = n_inst + 2;
   for (std::size_t pass = 0; pass < max_passes; ++pass) {
     bool changed = false;
-    for (const auto& lv : model.levels_) {
-      for (std::size_t i : lv) {
-        const netlist::NetId out = instances[i].out;
-        if (out == netlist::kNoNet) continue;
-        auto& dst = model.support_[static_cast<std::size_t>(out)];
-        for (netlist::NetId f : instances[i].fanin) {
-          if (f == netlist::kNoNet) continue;
-          const auto& src = model.support_[static_cast<std::size_t>(f)];
-          for (std::size_t w = 0; w < words; ++w) {
-            const std::uint64_t merged = dst[w] | src[w];
-            if (merged != dst[w]) {
-              dst[w] = merged;
-              changed = true;
-            }
+    for (const std::int32_t inst : model.graph_.order()) {
+      const auto i = static_cast<std::size_t>(inst);
+      const netlist::NetId out = instances[i].out;
+      if (out == netlist::kNoNet) continue;
+      auto& dst = model.support_[static_cast<std::size_t>(out)];
+      for (netlist::NetId f : instances[i].fanin) {
+        if (f == netlist::kNoNet) continue;
+        const auto& src = model.support_[static_cast<std::size_t>(f)];
+        for (std::size_t w = 0; w < words; ++w) {
+          const std::uint64_t merged = dst[w] | src[w];
+          if (merged != dst[w]) {
+            dst[w] = merged;
+            changed = true;
           }
         }
       }

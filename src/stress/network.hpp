@@ -4,15 +4,18 @@
 /// Shared structural model for the netlist-level abstract interpretations
 /// (signal-probability analysis in analyzer.cpp, switching-activity analysis
 /// in activity_bounds.cpp). Building the model resolves every instance
-/// against the library, levelizes the combinational instances (Kahn), and
-/// computes per-net *support* bitsets — the set of PI/flop sources a net
-/// transitively depends on — so both analyses share one validated view of
-/// the circuit and one definition of "these inputs may be correlated".
+/// against the library, levelizes the combinational instances through
+/// `netlist::Graph`, and computes per-net *support* bitsets — the set of
+/// PI/flop sources a net transitively depends on — so both analyses share
+/// one validated view of the circuit and one definition of "these inputs
+/// may be correlated".
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "liberty/library.hpp"
+#include "netlist/graph.hpp"
 #include "netlist/netlist.hpp"
 
 namespace rw::stress {
@@ -42,12 +45,12 @@ class NetworkModel {
   /// data pin, or combinational cycles.
   static NetworkModel build(const netlist::Module& module, const liberty::Library& library);
 
-  [[nodiscard]] const netlist::Module& module() const { return *module_; }
+  [[nodiscard]] const netlist::Module& module() const { return graph_.module(); }
   /// Index-aligned with `module().instances()`.
   [[nodiscard]] const std::vector<NetworkNode>& nodes() const { return nodes_; }
-  /// Combinational instances grouped by topological level, each level sorted
-  /// by instance index (deterministic parallel sweeps write disjoint slots).
-  [[nodiscard]] const std::vector<std::vector<std::size_t>>& levels() const { return levels_; }
+  /// The levelized graph; a level's instances write disjoint output slots,
+  /// so a parallel sweep of one level is deterministic.
+  [[nodiscard]] const netlist::Graph& graph() const { return graph_; }
 
   /// Source bit of a net (-1 when the net is not a source). Sources are the
   /// undriven nets (PIs, the clock, danglers) and every flop output.
@@ -66,9 +69,11 @@ class NetworkModel {
   [[nodiscard]] bool depends_on_source(netlist::NetId net, netlist::NetId source) const;
 
  private:
-  const netlist::Module* module_ = nullptr;
+  NetworkModel(std::vector<NetworkNode> nodes, netlist::Graph graph)
+      : nodes_(std::move(nodes)), graph_(std::move(graph)) {}
+
   std::vector<NetworkNode> nodes_;
-  std::vector<std::vector<std::size_t>> levels_;
+  netlist::Graph graph_;
   std::vector<int> source_bit_;
   std::size_t words_ = 0;
   std::vector<std::vector<std::uint64_t>> support_;

@@ -78,14 +78,6 @@ void Ir::output(const std::string& name, int node) {
   outputs_.emplace_back(name, node);
 }
 
-std::size_t Ir::flop_count() const {
-  std::size_t n = 0;
-  for (const auto& node : nodes_) {
-    if (node.op == Op::kFlop) ++n;
-  }
-  return n;
-}
-
 void Ir::validate() const {
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     if (nodes_[i].op == Op::kFlop && nodes_[i].a < 0) {

@@ -57,7 +57,6 @@ class Ir {
   [[nodiscard]] const std::vector<std::pair<std::string, int>>& outputs() const {
     return outputs_;
   }
-  [[nodiscard]] std::size_t flop_count() const;
 
   /// \throws std::runtime_error if any flop is left unconnected.
   void validate() const;

@@ -28,10 +28,6 @@ std::string_view trim(std::string_view text) {
   return text.substr(first, last - first + 1);
 }
 
-bool starts_with(std::string_view text, std::string_view prefix) {
-  return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
-}
-
 std::string format_fixed(double value, int decimals) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);

@@ -14,8 +14,6 @@ std::vector<std::string> split(std::string_view text, std::string_view delims = 
 
 std::string_view trim(std::string_view text);
 
-bool starts_with(std::string_view text, std::string_view prefix);
-
 /// Format a double with fixed decimals (locale-independent).
 std::string format_fixed(double value, int decimals);
 

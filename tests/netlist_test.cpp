@@ -1,17 +1,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "charlib/factory.hpp"
 #include "circuits/benchmarks.hpp"
+#include "lint/linter.hpp"
+#include "logicsim/simulator.hpp"
 #include "netlist/annotate.hpp"
 #include "netlist/builder.hpp"
+#include "netlist/graph.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/sdf.hpp"
 #include "netlist/verilog.hpp"
 #include "sta/analysis.hpp"
+#include "stress/activity_bounds.hpp"
+#include "stress/analyzer.hpp"
 #include "synth/synthesizer.hpp"
 
 namespace rw::netlist {
@@ -107,11 +114,20 @@ void expect_fanout_matches_scan(const Module& m) {
   }
 }
 
+/// The RISC-5P core, synthesized once for every test that needs a large
+/// sequential netlist.
+const Module& risc5() {
+  static const Module m = [] {
+    synth::SynthesisOptions opt;
+    opt.multi_start = false;
+    opt.enable_sizing = false;
+    return synth::synthesize(circuits::make_risc5(), lib(), "risc5", opt).module;
+  }();
+  return m;
+}
+
 TEST(Fanout, MatchesABruteForceScanOnASynthesizedBenchmark) {
-  synth::SynthesisOptions opt;
-  opt.multi_start = false;
-  opt.enable_sizing = false;
-  const Module m = synth::synthesize(circuits::make_risc5(), lib(), "risc5", opt).module;
+  const Module& m = risc5();
   ASSERT_GT(m.instances().size(), 1000u);
   expect_fanout_matches_scan(m);
 }
@@ -154,6 +170,102 @@ TEST(Fanout, EdgeCases) {
   std::vector<std::string> found;
   for (const auto& d : m.check()) found.push_back(d.rule_id + " " + d.location);
   EXPECT_EQ(found, (std::vector<std::string>{"NL002 edge:net u", "NL006 edge:inst open"}));
+}
+
+TEST(Graph, LevelsAreLongestPathsOnASynthesizedBenchmark) {
+  const Module& m = risc5();
+  const Graph graph(m, lib());
+  ASSERT_TRUE(graph.unlevelled().empty());
+  const std::size_t n = m.instances().size();
+  std::vector<int> level_of(n, -1);
+  std::size_t flops = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(graph.is_flop(i), lib().at(m.instances()[i].cell).is_flop);
+    if (graph.is_flop(i)) ++flops;
+  }
+  ASSERT_GT(flops, 0u);
+  ASSERT_GT(graph.level_count(), 1u);
+  std::size_t levelled = 0;
+  for (std::size_t l = 0; l < graph.level_count(); ++l) {
+    const auto lv = graph.level(l);
+    ASSERT_FALSE(lv.empty()) << l;
+    EXPECT_TRUE(std::is_sorted(lv.begin(), lv.end())) << l;
+    for (const std::int32_t i : lv) {
+      EXPECT_EQ(level_of[static_cast<std::size_t>(i)], -1) << "listed twice: " << i;
+      level_of[static_cast<std::size_t>(i)] = static_cast<int>(l);
+    }
+    levelled += lv.size();
+  }
+  EXPECT_EQ(levelled, n - flops);
+  EXPECT_EQ(graph.order().size(), levelled);
+  // Every instance sits one level above its deepest combinational fanin
+  // driver; sources (inputs, flop outputs) count as level -1.
+  for (std::size_t i = 0; i < n; ++i) {
+    if (graph.is_flop(i)) continue;
+    int want = 0;
+    for (const NetId f : m.instances()[i].fanin) {
+      const int d = m.driver(f);
+      if (d < 0 || graph.is_flop(static_cast<std::size_t>(d))) continue;
+      want = std::max(want, level_of[static_cast<std::size_t>(d)] + 1);
+    }
+    EXPECT_EQ(level_of[i], want) << m.instances()[i].name;
+  }
+}
+
+TEST(Graph, ANetOnTwoPinsOfOneGateIsNotACycle) {
+  Module m("dup_pins");
+  const NetId a = m.add_net("a");
+  const NetId b = m.add_net("b");
+  const NetId y = m.add_net("y");
+  m.mark_input(a);
+  m.add_instance("inv", "INV_X1", {a}, b);
+  m.add_instance("nand", "NAND2_X1", {b, b}, y);
+  m.mark_output(y);
+  const Graph graph(m, lib());
+  EXPECT_TRUE(graph.unlevelled().empty());
+  ASSERT_EQ(graph.level_count(), 2u);
+  EXPECT_EQ(std::vector<std::int32_t>(graph.level(0).begin(), graph.level(0).end()),
+            std::vector<std::int32_t>{0});
+  EXPECT_EQ(std::vector<std::int32_t>(graph.level(1).begin(), graph.level(1).end()),
+            std::vector<std::int32_t>{1});
+  // One edge per pin.
+  EXPECT_EQ(std::vector<std::int32_t>(graph.sinks(0).begin(), graph.sinks(0).end()),
+            (std::vector<std::int32_t>{1, 1}));
+}
+
+TEST(Graph, ATwoGateLoopIsUnlevelledAndEveryConsumerRefusesIt) {
+  Module m("top");
+  const NetId a = m.add_net("a");
+  const NetId n1 = m.add_net("n1");
+  const NetId n2 = m.add_net("n2");
+  const NetId q = m.add_net("q");
+  m.mark_input(a);
+  m.set_clock(m.add_net("clk"));
+  m.add_instance("g1", "NAND2_X1", {n2, a}, n1);
+  m.add_instance("g2", "INV_X1", {n1}, n2);
+  m.add_instance("ff", "DFF_X1", {n2, m.clock()}, q);  // a flop does not break it
+  m.add_instance("g3", "INV_X1", {q}, m.add_net("y"));
+  m.mark_output(m.find_net("y"));
+  const Graph graph(m, lib());
+  EXPECT_EQ(std::vector<std::int32_t>(graph.unlevelled().begin(), graph.unlevelled().end()),
+            (std::vector<std::int32_t>{0, 1}));
+  EXPECT_EQ(std::vector<std::int32_t>(graph.order().begin(), graph.order().end()),
+            std::vector<std::int32_t>{3});
+  EXPECT_THROW(graph.require_acyclic("test"), std::runtime_error);
+
+  EXPECT_THROW(sta::Sta(m, lib()), std::runtime_error);
+  EXPECT_THROW(stress::analyze(m, lib()), std::runtime_error);
+  EXPECT_THROW(stress::analyze_activity(m, lib()), std::runtime_error);
+  EXPECT_THROW(logicsim::CycleSimulator(m, lib()), std::runtime_error);
+
+  lint::LintSubject subject;
+  subject.module = &m;
+  subject.library = &lib();
+  std::vector<std::string> cycles;
+  for (const auto& d : lint::Linter::netlist_linter().run(subject)) {
+    if (d.rule_id == lint::rules::kCombCycle) cycles.push_back(d.location + " " + d.message);
+  }
+  EXPECT_EQ(cycles, std::vector<std::string>{"top:inst g1 combinational cycle: g1 -> g2 -> g1"});
 }
 
 TEST(Verilog, RoundTrip) {
