@@ -1,9 +1,10 @@
 /// Performance micro-benchmarks (google-benchmark) for the heavy engines:
 /// the transient circuit solver (cell characterization cost), full-design
-/// STA, the technology mapper, the Liberty reader and the gate-level
-/// simulators. These back the design choices called out in DESIGN.md
-/// (smooth device model, lazy characterization, batched sizing, parallel
-/// characterization, the compiled cycle simulator).
+/// STA, the netlist pre-flight lint and its activity analysis, the
+/// technology mapper, the Liberty reader and the gate-level simulators.
+/// These back the design choices called out in DESIGN.md (smooth device
+/// model, lazy characterization, batched sizing, parallel characterization,
+/// the compiled cycle simulator, one shared analysis per lint run).
 ///
 /// Besides the google-benchmark suite, the binary runs a characterization
 /// throughput study (single cell × 49 OPCs and a full library, at 1 thread
@@ -36,10 +37,12 @@
 #include "circuits/benchmarks.hpp"
 #include "liberty/parser.hpp"
 #include "liberty/writer.hpp"
+#include "lint/linter.hpp"
 #include "logicsim/simulator.hpp"
 #include "logicsim/timingsim.hpp"
 #include "netlist/sdf.hpp"
 #include "sta/analysis.hpp"
+#include "stress/activity_bounds.hpp"
 #include "synth/decompose.hpp"
 #include "synth/synthesizer.hpp"
 #include "synth/mapper.hpp"
@@ -120,6 +123,28 @@ void BM_StaDsp(benchmark::State& state) {
                           static_cast<std::int64_t>(m.instances().size()));
 }
 BENCHMARK(BM_StaDsp)->Unit(benchmark::kMillisecond);
+
+void BM_NetlistPreflight(benchmark::State& state) {
+  // What every flow runs before timing: the netlist, annotation, stress and
+  // activity rules over the design against the fresh library.
+  const auto& m = dsp_module();
+  const lint::Linter linter = lint::Linter::netlist_linter();
+  lint::LintSubject subject;
+  subject.module = &m;
+  subject.library = &fresh();
+  for (auto _ : state) benchmark::DoNotOptimize(linter.run(subject));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(m.instances().size()));
+}
+BENCHMARK(BM_NetlistPreflight)->Unit(benchmark::kMillisecond);
+
+void BM_AnalyzeActivity(benchmark::State& state) {
+  const auto& m = dsp_module();
+  for (auto _ : state) benchmark::DoNotOptimize(stress::analyze_activity(m, fresh()));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(m.instances().size()));
+}
+BENCHMARK(BM_AnalyzeActivity)->Unit(benchmark::kMillisecond);
 
 void BM_MapDsp(benchmark::State& state) {
   const synth::SubjectGraph graph = synth::decompose(circuits::make_dsp());

@@ -79,14 +79,20 @@ thread_invariance() {
 # The flattened (scenario × cell × arc × OPC) scheduler plus the
 # structure-reusing solver: an N-thread library characterization must beat
 # 1 thread by >1.5x. Only demonstrable with >=2 cores; single-core runners
-# still exercise the path (and the counters) but skip the ratio gate.
+# still exercise the path (and the counters) but skip the ratio gate. One
+# run on a shared host can land on a busy minute, so the gate reads the
+# median of three runs.
 perf_smoke() {
-  "$PERF_MICRO" --json-only --threads "$JOBS" --json-cells=8 \
-    --json-out="$BUILD_DIR/perf_smoke.json"
+  local run speedups=()
+  for run in 1 2 3; do
+    "$PERF_MICRO" --json-only --threads "$JOBS" --json-cells=8 \
+      --json-out="$BUILD_DIR/perf_smoke.$run.json"
+    speedups+=("$(sed -n 's/.*"char_library".*"speedup": \([0-9.]*\).*/\1/p' \
+      "$BUILD_DIR/perf_smoke.$run.json")")
+  done
   local speedup
-  speedup="$(sed -n 's/.*"char_library".*"speedup": \([0-9.]*\).*/\1/p' \
-    "$BUILD_DIR/perf_smoke.json")"
-  echo "char_library speedup at $JOBS thread(s): ${speedup}x"
+  speedup="$(printf '%s\n' "${speedups[@]}" | sort -g | sed -n 2p)"
+  echo "char_library speedup at $JOBS thread(s): ${speedups[*]} -> median ${speedup}x"
   if [[ "$JOBS" -lt 2 ]]; then
     echo "single core: thread-speedup ratio gate skipped (needs >= 2 cores)"
     return 0

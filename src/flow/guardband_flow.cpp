@@ -68,7 +68,8 @@ sta::GuardbandReport static_guardband(const netlist::Module& module,
   FlowOrchestrator run("static_guardband", resolve_options(orch));
   const std::size_t quarantined_before = factory.quarantined().size();
 
-  const liberty::Library fresh = fresh_library_stage(run, factory, module);
+  const liberty::Library fresh = fresh_library_stage(run, factory);
+  preflight_netlist(module, fresh);
 
   const liberty::Library aged =
       run.stage("aged_library", [&] { return factory.library(scenario); },
@@ -91,7 +92,9 @@ DynamicAgingResult dynamic_workload_guardband(const netlist::Module& module,
   FlowOrchestrator run("dynamic_workload_guardband", resolve_options(orch));
   const std::size_t quarantined_before = factory.quarantined().size();
 
-  const liberty::Library fresh = fresh_library_stage(run, factory, module);
+  const liberty::Library fresh = fresh_library_stage(run, factory);
+  lint::SubjectAnalysis preflight;
+  preflight_netlist(module, fresh, nullptr, &preflight);
 
   // 1+2. Gate-level simulation of the workload (Modelsim's role) and
   // duty-cycle extraction, plus post-warm-up per-net toggle rates for the
@@ -174,7 +177,9 @@ DynamicAgingResult dynamic_workload_guardband(const netlist::Module& module,
   // (AC001). A finding here is a bug in the simulate/extract/annotate
   // pipeline, not in the design — fail loudly rather than time against
   // corrupt corners. The tiny slack absorbs float accumulation over the
-  // measurement window, nothing more.
+  // measurement window, nothing more. Annotation only renamed cells to
+  // their λ corners, so the bounds are the pre-flight's; the NL and AN
+  // rules still check the annotated copy itself.
   {
     lint::ActivityMeasurement measured;
     measured.slack = 1e-9;
@@ -183,10 +188,13 @@ DynamicAgingResult dynamic_workload_guardband(const netlist::Module& module,
       measured.toggle_rates.emplace_back(module.net_name(static_cast<netlist::NetId>(n)),
                                          sim_out.toggles[n]);
     }
+    lint::SubjectAnalysis oracle;
+    oracle.adopt_bounds(preflight);
     lint::LintSubject subject;
     subject.module = &result.annotated;
     subject.library = &merged;
     subject.measured_activity = &measured;
+    subject.analysis = &oracle;
     lint::report_diagnostics(lint::lint_or_throw(lint::Linter::netlist_linter(), subject));
   }
 
@@ -207,12 +215,15 @@ BoundedStaticResult bounded_static_guardband(const netlist::Module& module,
   FlowOrchestrator run("bounded_static_guardband", resolve_options(orch));
   const std::size_t quarantined_before = factory.quarantined().size();
 
-  const liberty::Library fresh = fresh_library_stage(run, factory, module, &stress_options);
+  const liberty::Library fresh = fresh_library_stage(run, factory);
+  lint::SubjectAnalysis preflight;
+  preflight_netlist(module, fresh, &stress_options, &preflight);
 
-  // 1. Prove per-instance λ bounds — no simulation, no workload. Pure
-  // interval arithmetic, so it is recomputed inline even on resumed runs.
+  // 1. Prove per-instance λ bounds — no simulation, no workload. The
+  // pre-flight's SP rule proved them already (inline, so also on resumed
+  // runs).
   BoundedStaticResult result{netlist::Module(module), {}, {}, {}, 0};
-  result.stress = stress::analyze(module, fresh, stress_options);
+  result.stress = preflight_stress(preflight, module, fresh, stress_options);
 
   constexpr double kStep = 0.1;  // the annotate/merge λ grid
   const auto grid_range = [&](const stress::Interval& bound) {

@@ -14,18 +14,40 @@ OrchestratorOptions resolve_options(const OrchestratorOptions* orch) {
   return orch != nullptr ? *orch : OrchestratorOptions::from_env();
 }
 
-liberty::Library fresh_library_stage(FlowOrchestrator& run, charlib::LibraryFactory& factory,
-                                     const netlist::Module& module,
-                                     const stress::AnalyzeOptions* stress_options) {
-  liberty::Library fresh = run.stage(
+liberty::Library fresh_library_stage(FlowOrchestrator& run, charlib::LibraryFactory& factory) {
+  return run.stage(
       "fresh_library", [&] { return factory.library(aging::AgingScenario::fresh()); },
       artifact::encode_library, artifact::decode_library);
+}
+
+namespace {
+
+lint::LintSubject preflight_subject(const netlist::Module& module, const liberty::Library& fresh,
+                                    const stress::AnalyzeOptions* stress_options,
+                                    lint::SubjectAnalysis* analysis) {
   lint::LintSubject subject;
   subject.module = &module;
   subject.library = &fresh;
   subject.stress = stress_options;
-  lint::report_diagnostics(lint::lint_or_throw(lint::Linter::netlist_linter(), subject));
-  return fresh;
+  subject.analysis = analysis;
+  return subject;
+}
+
+}  // namespace
+
+void preflight_netlist(const netlist::Module& module, const liberty::Library& fresh,
+                       const stress::AnalyzeOptions* stress_options,
+                       lint::SubjectAnalysis* analysis) {
+  lint::report_diagnostics(lint::lint_or_throw(
+      lint::Linter::netlist_linter(), preflight_subject(module, fresh, stress_options, analysis)));
+}
+
+stress::StressReport preflight_stress(lint::SubjectAnalysis& analysis,
+                                      const netlist::Module& module,
+                                      const liberty::Library& fresh,
+                                      const stress::AnalyzeOptions& options) {
+  const auto proven = analysis.stress(preflight_subject(module, fresh, &options, &analysis));
+  return proven != nullptr ? *proven : stress::analyze(module, fresh, options);
 }
 
 void preflight_library(const liberty::Library& library, const liberty::Library* fresh) {

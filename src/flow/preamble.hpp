@@ -8,6 +8,7 @@
 
 #include "charlib/factory.hpp"
 #include "flow/orchestrator.hpp"
+#include "lint/linter.hpp"
 #include "netlist/netlist.hpp"
 #include "sta/guardband.hpp"
 #include "stress/analyzer.hpp"
@@ -17,14 +18,29 @@ namespace rw::flow {
 /// `*orch`, or RW_FLOW_DIR / RW_FLOW_RESUME when `orch` is null.
 OrchestratorOptions resolve_options(const OrchestratorOptions* orch);
 
-/// The "fresh_library" stage, then the netlist pre-flight against it: a
-/// structurally broken netlist (combinational cycles, multi-driven nets,
-/// bogus λ annotations, ...) is refused with the full diagnostic list
-/// instead of failing deep inside STA or characterization. The library is
-/// factory-generated, so only the netlist + annotation (+ stress) rules run.
-liberty::Library fresh_library_stage(FlowOrchestrator& run, charlib::LibraryFactory& factory,
-                                     const netlist::Module& module,
-                                     const stress::AnalyzeOptions* stress_options = nullptr);
+/// The "fresh_library" stage.
+liberty::Library fresh_library_stage(FlowOrchestrator& run, charlib::LibraryFactory& factory);
+
+/// The netlist pre-flight against the fresh library: a structurally broken
+/// netlist (combinational cycles, multi-driven nets, bogus λ annotations,
+/// ...) is refused with the full diagnostic list instead of failing deep
+/// inside STA or characterization. The library is factory-generated, so
+/// only the netlist, annotation, stress and activity rules run. When
+/// `analysis` is given, the caller owns the run's shared analysis and reuses
+/// the bounds it proved (see `preflight_stress` and the dynamic flow's
+/// oracle).
+void preflight_netlist(const netlist::Module& module, const liberty::Library& fresh,
+                       const stress::AnalyzeOptions* stress_options = nullptr,
+                       lint::SubjectAnalysis* analysis = nullptr);
+
+/// What `stress::analyze(module, fresh, options)` returns, taken from the
+/// analysis `preflight_netlist(module, fresh, &options, &analysis)` left.
+/// Proven again only when the pre-flight could not prove it, which then
+/// throws what `stress::analyze` throws.
+stress::StressReport preflight_stress(lint::SubjectAnalysis& analysis,
+                                      const netlist::Module& module,
+                                      const liberty::Library& fresh,
+                                      const stress::AnalyzeOptions& options);
 
 /// Library pre-flight, against `fresh` when given: broken tables abort, and
 /// warnings (notably LB006 fallback points from cells whose OPC grid did not

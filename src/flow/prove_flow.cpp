@@ -52,12 +52,14 @@ ProvenGuardbandResult proven_guardband(const netlist::Module& module,
   FlowOrchestrator run("proven_guardband", resolve_options(orch));
   const std::size_t quarantined_before = factory.quarantined().size();
 
-  const liberty::Library fresh = fresh_library_stage(run, factory, module, &stress_options);
+  const liberty::Library fresh = fresh_library_stage(run, factory);
+  lint::SubjectAnalysis preflight;
+  preflight_netlist(module, fresh, &stress_options, &preflight);
 
-  // 1. Prove per-instance λ bounds — pure interval arithmetic, recomputed
-  // inline even on resumed runs.
+  // 1. Prove per-instance λ bounds — pure interval arithmetic, which the
+  // pre-flight's SP rule did already (inline, so also on resumed runs).
   ProvenGuardbandResult result;
-  result.stress = stress::analyze(module, fresh, stress_options);
+  result.stress = preflight_stress(preflight, module, fresh, stress_options);
 
   // 2. Bracket every proven bound with its extreme λ-lattice corners and
   // characterize them once, checkpointed as one merged library.

@@ -15,6 +15,15 @@ std::vector<const Pin*> Cell::input_pins() const {
   return out;
 }
 
+const Pin& Cell::input_pin(std::size_t j) const {
+  for (const auto& p : pins) {
+    if (!p.is_input) continue;
+    if (j == 0) return p;
+    --j;
+  }
+  throw std::out_of_range("Cell::input_pin: too few input pins on " + name);
+}
+
 int Cell::n_inputs() const {
   int n = 0;
   for (const auto& p : pins) {

@@ -75,6 +75,9 @@ class Cell {
   std::optional<InterpMarker> interp;
 
   [[nodiscard]] std::vector<const Pin*> input_pins() const;
+  /// `input_pins()[j]` without building the vector. \throws std::out_of_range
+  /// when the cell has fewer than j + 1 inputs.
+  [[nodiscard]] const Pin& input_pin(std::size_t j) const;
   [[nodiscard]] int n_inputs() const;
   [[nodiscard]] const Pin* find_pin(const std::string& pin_name) const;
   [[nodiscard]] double input_cap_ff(const std::string& pin_name) const;

@@ -26,22 +26,13 @@ class ActivityRule final : public Rule {
     return "measured and proven switching activity agree; quiet nets and hotspots reported";
   }
   void run(const LintSubject& subject, std::vector<Diagnostic>& out) const override {
-    if (!analyzable(subject)) return;
+    SubjectAnalysis own;
+    SubjectAnalysis& analysis = subject.analysis != nullptr ? *subject.analysis : own;
+    // Null for structural problems: those are other rules' findings.
+    const std::shared_ptr<const stress::ActivityReport> proven = analysis.activity(subject);
+    if (proven == nullptr) return;
+    const stress::ActivityReport& report = *proven;
     const netlist::Module& m = *subject.module;
-    const liberty::Library& lib = *subject.library;
-
-    stress::ActivityOptions options;
-    if (subject.activity != nullptr) {
-      options = *subject.activity;
-    } else if (subject.stress != nullptr) {
-      options.probability = *subject.stress;
-    }
-    stress::ActivityReport report;
-    try {
-      report = stress::analyze_activity(m, lib, options);
-    } catch (const std::exception&) {
-      return;  // structural problems are other rules' findings
-    }
     constexpr double kEps = 1e-12;
 
     // AC001 — a measured toggle rate that escapes the proven bounds. Clock-

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "lint/rules.hpp"
 #include "util/thread_pool.hpp"
 
 namespace rw::lint {
@@ -41,11 +42,92 @@ Linter Linter::library_linter() {
   return linter;
 }
 
+void SubjectAnalysis::adopt_bounds(const SubjectAnalysis& proven) {
+  const std::scoped_lock lock(mutex_, proven.mutex_);
+  probability_ = proven.probability_;
+  activity_ = proven.activity_;
+}
+
+bool SubjectAnalysis::analyzable(const LintSubject& subject) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return analyzable_locked(subject);
+}
+
+bool SubjectAnalysis::analyzable_locked(const LintSubject& subject) {
+  if (!analyzable_) analyzable_ = lint::analyzable(subject);
+  return *analyzable_;
+}
+
+const stress::NetworkModel* SubjectAnalysis::model_locked(const LintSubject& subject) {
+  if (!model_ && !model_refused_) {
+    try {
+      model_.emplace(stress::NetworkModel::build(*subject.module, *subject.library));
+    } catch (const std::exception&) {
+      model_refused_ = true;
+    }
+  }
+  return model_ ? &*model_ : nullptr;
+}
+
+std::shared_ptr<const stress::StressReport> SubjectAnalysis::probability_locked(
+    const LintSubject& subject, const stress::AnalyzeOptions& options) {
+  for (const auto& [model_options, report] : probability_) {
+    if (model_options == options) return report;
+  }
+  std::shared_ptr<const stress::StressReport> report;
+  if (const stress::NetworkModel* model = model_locked(subject)) {
+    try {
+      report = std::make_shared<const stress::StressReport>(stress::analyze_network(*model, options));
+    } catch (const std::exception&) {
+    }
+  }
+  probability_.emplace_back(options, report);
+  return report;
+}
+
+std::shared_ptr<const stress::StressReport> SubjectAnalysis::stress(const LintSubject& subject) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (!analyzable_locked(subject)) return nullptr;
+  return probability_locked(subject,
+                            subject.stress != nullptr ? *subject.stress : stress::AnalyzeOptions{});
+}
+
+std::shared_ptr<const stress::ActivityReport> SubjectAnalysis::activity(
+    const LintSubject& subject) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (!analyzable_locked(subject)) return nullptr;
+  stress::ActivityOptions options;
+  if (subject.activity != nullptr) {
+    options = *subject.activity;
+  } else if (subject.stress != nullptr) {
+    options.probability = *subject.stress;
+  }
+  for (const auto& [model_options, report] : activity_) {
+    if (model_options == options) return report;
+  }
+  const std::shared_ptr<const stress::StressReport> probability =
+      probability_locked(subject, options.probability);
+  const stress::NetworkModel* model = probability != nullptr ? model_locked(subject) : nullptr;
+  std::shared_ptr<const stress::ActivityReport> report;
+  if (model != nullptr) {
+    try {
+      report = std::make_shared<const stress::ActivityReport>(
+          stress::analyze_network_activity(*model, options, *probability));
+    } catch (const std::exception&) {
+    }
+  }
+  activity_.emplace_back(std::move(options), report);
+  return report;
+}
+
 std::vector<Diagnostic> Linter::run(const LintSubject& subject, bool parallel) const {
+  SubjectAnalysis own;
+  LintSubject bound = subject;
+  if (bound.analysis == nullptr) bound.analysis = &own;
   // One slot per rule: workers never share containers, and concatenating the
   // slots in registration order makes the report thread-count independent.
   std::vector<std::vector<Diagnostic>> slots(rules_.size());
-  const auto body = [&](std::size_t i) { rules_[i]->run(subject, slots[i]); };
+  const auto body = [&](std::size_t i) { rules_[i]->run(bound, slots[i]); };
   if (parallel) {
     util::ThreadPool::shared().parallel_for(rules_.size(), body);
   } else {

@@ -12,12 +12,13 @@
 /// deep inside STA or characterization.
 
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <vector>
-
 #include <utility>
+#include <vector>
 
 #include "charlib/opc.hpp"
 #include "liberty/library.hpp"
@@ -25,6 +26,7 @@
 #include "netlist/netlist.hpp"
 #include "stress/activity_bounds.hpp"
 #include "stress/analyzer.hpp"
+#include "stress/network.hpp"
 
 namespace rw::sta {
 struct ProveSummary;  // sta/interval_sta.hpp; kept opaque to the rule engine
@@ -43,6 +45,8 @@ struct ActivityMeasurement {
   /// (absorbs finite-window sampling noise when the model is empirical).
   double slack = 0.0;
 };
+
+class SubjectAnalysis;
 
 /// What a lint run looks at. Any pointer may be null; rules skip the parts
 /// they need that are absent. Pointees must outlive the `run()` call.
@@ -71,6 +75,62 @@ struct LintSubject {
   /// Characterization disk-cache root for the SV (serve-hygiene) rules;
   /// empty keeps them silent.
   std::string cache_dir;
+  /// The stress/activity analysis the SP and AC rules share. Null: each
+  /// `Linter::run` makes its own. Set: the caller owns it, and it keeps what
+  /// the run proved for the caller to reuse.
+  SubjectAnalysis* analysis = nullptr;
+};
+
+/// What the SP and AC rules of one lint run share: one `analyzable()`
+/// verdict, one `stress::NetworkModel` and one probability fixed point per
+/// input model, each built on first use. The AC rule reuses the SP rule's
+/// fixed point whenever their input models agree, which they do unless the
+/// subject declares an `activity` model of its own. Rules run concurrently;
+/// one builds a part while the others wait for it.
+///
+/// An analysis serves one subject: every call passes the same module,
+/// library and input models, and the module and library must outlive it.
+class SubjectAnalysis {
+ public:
+  SubjectAnalysis() = default;
+  SubjectAnalysis(const SubjectAnalysis&) = delete;
+  SubjectAnalysis& operator=(const SubjectAnalysis&) = delete;
+
+  /// Takes over the bounds `proven` holds (not its verdict or model) for a
+  /// subject whose module is a copy of proven's with cells renamed to their
+  /// λ-indexed corners, as `netlist::annotate_with_duty_cycles` does. A
+  /// corner shares its base cell's pins and Boolean function, and the
+  /// bounds depend on nothing else, so they hold index for index. A bound
+  /// under another input model than the subject's is still proven afresh.
+  void adopt_bounds(const SubjectAnalysis& proven);
+
+  /// `analyzable(subject)` (rules.hpp), decided once.
+  [[nodiscard]] bool analyzable(const LintSubject& subject);
+  /// The probability fixed point under the SP input model (`subject.stress`,
+  /// else the default); null when the subject is not analyzable or the
+  /// analysis refuses the module (its findings belong to the NL rules).
+  [[nodiscard]] std::shared_ptr<const stress::StressReport> stress(const LintSubject& subject);
+  /// The activity analysis under the AC input model (`subject.activity`,
+  /// else the default with the probability half from `subject.stress`);
+  /// null where `stress` would be.
+  [[nodiscard]] std::shared_ptr<const stress::ActivityReport> activity(
+      const LintSubject& subject);
+
+ private:
+  bool analyzable_locked(const LintSubject& subject);
+  const stress::NetworkModel* model_locked(const LintSubject& subject);
+  std::shared_ptr<const stress::StressReport> probability_locked(
+      const LintSubject& subject, const stress::AnalyzeOptions& options);
+
+  mutable std::mutex mutex_;
+  std::optional<bool> analyzable_;
+  std::optional<stress::NetworkModel> model_;
+  bool model_refused_ = false;
+  /// Results per input model; a null report records a refusal.
+  std::vector<std::pair<stress::AnalyzeOptions, std::shared_ptr<const stress::StressReport>>>
+      probability_;
+  std::vector<std::pair<stress::ActivityOptions, std::shared_ptr<const stress::ActivityReport>>>
+      activity_;
 };
 
 /// One design rule. Implementations must be state-free (`run` is const and

@@ -28,18 +28,16 @@ class StressRule final : public Rule {
     return "annotations and net activity respect statically proven duty-cycle bounds";
   }
   void run(const LintSubject& subject, std::vector<Diagnostic>& out) const override {
-    if (!analyzable(subject)) return;
+    SubjectAnalysis own;
+    SubjectAnalysis& analysis = subject.analysis != nullptr ? *subject.analysis : own;
+    // Null for structural problems: those are other rules' findings.
+    const std::shared_ptr<const stress::StressReport> proven = analysis.stress(subject);
+    if (proven == nullptr) return;
+    const stress::StressReport& report = *proven;
     const netlist::Module& m = *subject.module;
     const liberty::Library& lib = *subject.library;
-
     const stress::AnalyzeOptions options =
         subject.stress != nullptr ? *subject.stress : stress::AnalyzeOptions{};
-    stress::StressReport report;
-    try {
-      report = stress::analyze(m, lib, options);
-    } catch (const std::exception&) {
-      return;  // structural problems are other rules' findings
-    }
 
     // SP001 — a simulated/annotated λ index that escapes the proven bounds.
     // Quantization is monotone, so any honest annotation q = quantize(λ) with

@@ -27,19 +27,29 @@ unsigned contributing_input_edges(liberty::TimingSense sense, bool out_rising) {
   return 0b11U;
 }
 
+/// A net's load in its one accumulation order (IntervalSta::compute_loads
+/// mirrors it): sink pin caps in fanout order, the PO loads, then the
+/// wire-load model. `cell_of(instance)` names each sink's cell.
+template <class CellOf>
+double accumulate_load(const StaOptions& options, const netlist::Fanout& fanout,
+                       netlist::NetId net, const CellOf& cell_of) {
+  double load = 0.0;
+  for (const netlist::PinUse use : fanout.sinks(net)) {
+    load += cell_of(use.instance).input_pin(static_cast<std::size_t>(use.pin)).cap_ff;
+  }
+  for (int k = 0; k < fanout.po_uses(net); ++k) load += options.po_load_ff;
+  load += options.wire_cap_per_fanout_ff * fanout.count(net);
+  return load;
+}
+
 }  // namespace
 
 double net_load_ff(const netlist::Module& module, const liberty::Library& library,
                    const StaOptions& options, const netlist::Fanout& fanout,
                    netlist::NetId net) {
-  double load = 0.0;
-  for (const netlist::PinUse use : fanout.sinks(net)) {
-    const auto& inst = module.instances()[static_cast<std::size_t>(use.instance)];
-    load += library.at(inst.cell).input_pins()[static_cast<std::size_t>(use.pin)]->cap_ff;
-  }
-  for (int k = 0; k < fanout.po_uses(net); ++k) load += options.po_load_ff;
-  load += options.wire_cap_per_fanout_ff * fanout.count(net);
-  return load;
+  return accumulate_load(options, fanout, net, [&](std::int32_t instance) -> const auto& {
+    return library.at(module.instances()[static_cast<std::size_t>(instance)].cell);
+  });
 }
 
 ArcEdge lookup_arc_edge(const liberty::TimingArc& arc, bool out_rising, double in_slew_ps,
@@ -61,11 +71,15 @@ Sta::Sta(const netlist::Module& module, const liberty::Library& library, StaOpti
       options_(options),
       graph_(module, library) {
   graph_.require_acyclic("Sta");
+  cells_.reserve(module.instances().size());
+  for (const netlist::Instance& inst : module.instances()) cells_.push_back(&library.at(inst.cell));
   const auto n_nets = static_cast<std::size_t>(module.net_count());
   load_ff_.resize(n_nets);
   for (netlist::NetId n = 0; n < module.net_count(); ++n) {
     load_ff_[static_cast<std::size_t>(n)] =
-        net_load_ff(module, library, options_, graph_.fanout(), n);
+        accumulate_load(options_, graph_.fanout(), n, [&](std::int32_t instance) -> const auto& {
+          return *cells_[static_cast<std::size_t>(instance)];
+        });
   }
   net_timing_.assign(n_nets, NetTiming{});
   propagate();
@@ -87,12 +101,11 @@ void Sta::compute_required() {
   const auto order = graph_.order();
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const auto& inst = instances[static_cast<std::size_t>(*it)];
-    const liberty::Cell& cell = library_.at(inst.cell);
+    const liberty::Cell& cell = *cells_[static_cast<std::size_t>(*it)];
     const double load = load_ff_[static_cast<std::size_t>(inst.out)];
     const auto out_i = static_cast<std::size_t>(inst.out);
-    const auto input_pins = cell.input_pins();
     for (std::size_t p = 0; p < inst.fanin.size(); ++p) {
-      const liberty::TimingArc* arc = cell.arc_from(input_pins[p]->name);
+      const liberty::TimingArc* arc = cell.arc_from(cell.input_pin(p).name);
       if (arc == nullptr) continue;
       const auto& in_t = net_timing_[static_cast<std::size_t>(inst.fanin[p])];
       const auto in_i = static_cast<std::size_t>(inst.fanin[p]);
@@ -139,7 +152,7 @@ void Sta::propagate() {
   for (std::size_t i = 0; i < instances.size(); ++i) {
     if (!graph_.is_flop(i)) continue;
     const auto& inst = instances[i];
-    const liberty::Cell& cell = library_.at(inst.cell);
+    const liberty::Cell& cell = *cells_[i];
     const liberty::TimingArc* arc = cell.arc_from("CK");
     if (arc == nullptr) {
       throw std::runtime_error("Sta: flop " + inst.cell + " has no CK arc");
@@ -161,13 +174,12 @@ void Sta::propagate() {
     // longest serial section between parallel regions.
     if ((++visited & 0xFFU) == 0U) flow::throw_if_cancelled();
     const auto& inst = instances[static_cast<std::size_t>(idx)];
-    const liberty::Cell& cell = library_.at(inst.cell);
+    const liberty::Cell& cell = *cells_[static_cast<std::size_t>(idx)];
     const double load = load_ff_[static_cast<std::size_t>(inst.out)];
     auto& out_t = net_timing_[static_cast<std::size_t>(inst.out)];
-    const auto input_pins = cell.input_pins();
 
     for (std::size_t p = 0; p < inst.fanin.size(); ++p) {
-      const liberty::TimingArc* arc = cell.arc_from(input_pins[p]->name);
+      const liberty::TimingArc* arc = cell.arc_from(cell.input_pin(p).name);
       if (arc == nullptr) continue;
       const auto& in_t = net_timing_[static_cast<std::size_t>(inst.fanin[p])];
       for (const bool out_rising : {true, false}) {
@@ -212,9 +224,8 @@ void Sta::compute_endpoints() {
   const auto& instances = module_.instances();
   for (std::size_t i = 0; i < instances.size(); ++i) {
     if (!graph_.is_flop(i)) continue;
-    const liberty::Cell& cell = library_.at(instances[i].cell);
     // Pin order of DFF is {D, CK}; endpoint is the D net.
-    add_endpoint(instances[i].fanin[0], true, static_cast<int>(i), cell.setup_ps);
+    add_endpoint(instances[i].fanin[0], true, static_cast<int>(i), cells_[i]->setup_ps);
   }
   std::sort(endpoints_.begin(), endpoints_.end(),
             [](const Endpoint& a, const Endpoint& b) { return a.cost_ps() > b.cost_ps(); });

@@ -84,6 +84,7 @@ class Sta {
   const liberty::Library& library_;
   StaOptions options_;
   netlist::Graph graph_;
+  std::vector<const liberty::Cell*> cells_;  ///< per instance, resolved once
   std::vector<double> load_ff_;
   std::vector<NetTiming> net_timing_;
   std::vector<Endpoint> endpoints_;

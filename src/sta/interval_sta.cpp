@@ -145,7 +145,7 @@ void IntervalSta::compute_loads() {
       double cap_hi = 0.0;
       bool first = true;
       for (const liberty::Cell* cell : ic.corners) {
-        const double cap = cell->input_pins()[p]->cap_ff;
+        const double cap = cell->input_pin(p).cap_ff;
         if (first) {
           cap_lo = cap;
           cap_hi = cap;
@@ -156,7 +156,7 @@ void IntervalSta::compute_loads() {
         }
       }
       if (first) {  // vacuous instance: fresh pin cap as proxy
-        cap_lo = ic.fresh->input_pins()[p]->cap_ff;
+        cap_lo = ic.fresh->input_pin(p).cap_ff;
         cap_hi = cap_lo;
       }
       load.lo += cap_lo;
@@ -227,12 +227,11 @@ void IntervalSta::propagate() {
     const bool inst_vacuous = ic.corners.empty() || ic.missing > 0;
     const stress::RealInterval& load = load_ff_[static_cast<std::size_t>(inst.out)];
     auto& out_t = net_timing_[static_cast<std::size_t>(inst.out)];
-    const auto fresh_pins = ic.fresh->input_pins();
     cands[kRise].clear();
     cands[kFall].clear();
 
     for (std::size_t p = 0; p < inst.fanin.size(); ++p) {
-      const liberty::TimingArc* arc = ic.fresh->arc_from(fresh_pins[p]->name);
+      const liberty::TimingArc* arc = ic.fresh->arc_from(ic.fresh->input_pin(p).name);
       if (arc == nullptr) continue;
       const auto& in_t = net_timing_[static_cast<std::size_t>(inst.fanin[p])];
       for (const bool out_rising : {true, false}) {
@@ -243,7 +242,7 @@ void IntervalSta::propagate() {
           if ((in_edges & (ie == kRise ? 0b01U : 0b10U)) == 0U) continue;
           if (in_t.arrival[ie].hi == kNeverArrives) continue;
           const IntervalArcEdge edge =
-              lookup_interval_arc_edge(ic, fresh_pins[p]->name, out_rising, in_t.slew[ie], load);
+              lookup_interval_arc_edge(ic, arc->related_pin, out_rising, in_t.slew[ie], load);
           const double arrival_hi = in_t.arrival[ie].hi + edge.delay.hi;
           const double arrival_lo = in_t.arrival[ie].lo + edge.delay.lo;
           const int oe = out_rising ? kRise : kFall;
@@ -396,8 +395,9 @@ std::vector<PathBlame> IntervalSta::blame() const {
     PathBlame b;
     b.instance = instance.name;
     b.cell = instance.cell;
-    b.pin = corners_[static_cast<std::size_t>(inst)].fresh->input_pins()[static_cast<std::size_t>(
-        t.from_pin[e])]->name;
+    b.pin = corners_[static_cast<std::size_t>(inst)]
+                .fresh->input_pin(static_cast<std::size_t>(t.from_pin[e]))
+                .name;
     b.width_ps = t.edge_width_ps[e];
     b.interp_ps = t.edge_interp_ps[e];
     path.push_back(std::move(b));

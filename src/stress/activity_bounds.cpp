@@ -1,11 +1,16 @@
 #include "stress/activity_bounds.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
+#include <functional>
+#include <optional>
 #include <stdexcept>
+#include <unordered_map>
+#include <utility>
 
-#include "cells/catalog.hpp"
 #include "stress/network.hpp"
 #include "stress/stacks.hpp"
 #include "util/thread_pool.hpp"
@@ -97,6 +102,37 @@ double pair_expectation(std::uint64_t truth, int k, const double* p, const doubl
   }
   return v[0];
 }
+
+/// What one instance's stage-refined HCI proxy depends on. Equality is
+/// bitwise, so instances that share an entry share a bitwise-equal result.
+struct StageInputs {
+  const CompiledCell* cell = nullptr;
+  int k = 0;
+  Interval prob[kMaxInputs];
+  Interval toggles[kMaxInputs];
+
+  [[nodiscard]] bool operator==(const StageInputs& o) const {
+    const auto n = sizeof(Interval) * static_cast<std::size_t>(k);
+    return cell == o.cell && k == o.k && std::memcmp(prob, o.prob, n) == 0 &&
+           std::memcmp(toggles, o.toggles, n) == 0;
+  }
+};
+
+struct StageInputsHash {
+  std::size_t operator()(const StageInputs& in) const {
+    std::uint64_t h = std::hash<const void*>{}(in.cell) ^ static_cast<std::uint64_t>(in.k);
+    const auto mix = [&h](double v) {
+      h = (h ^ std::bit_cast<std::uint64_t>(v)) * 0x100000001b3ULL;  // FNV-1a step
+    };
+    for (int j = 0; j < in.k; ++j) {
+      mix(in.prob[j].lo);
+      mix(in.prob[j].hi);
+      mix(in.toggles[j].lo);
+      mix(in.toggles[j].hi);
+    }
+    return static_cast<std::size_t>(h);
+  }
+};
 
 }  // namespace
 
@@ -236,6 +272,12 @@ std::size_t ActivityReport::widened_density_count() const {
 
 ActivityReport analyze_network_activity(const NetworkModel& model,
                                         const ActivityOptions& options) {
+  return analyze_network_activity(model, options, analyze_network(model, options.probability));
+}
+
+ActivityReport analyze_network_activity(const NetworkModel& model,
+                                        const ActivityOptions& options,
+                                        StressReport probability) {
   const netlist::Module& module = model.module();
   const auto& instances = module.instances();
   const auto& nodes = model.nodes();
@@ -244,7 +286,7 @@ ActivityReport analyze_network_activity(const NetworkModel& model,
   const netlist::NetId clock = module.clock();
 
   ActivityReport report;
-  report.probability = analyze_network(model, options.probability);
+  report.probability = std::move(probability);
   const std::vector<Interval>& prob = report.probability.net;
   report.density.assign(n_net, Interval::full());
   report.density_widened.assign(n_net, 0);
@@ -350,18 +392,17 @@ ActivityReport analyze_network_activity(const NetworkModel& model,
     }
   }
 
-  // -- Per-instance summaries: pin toggles, load-weighted switching bound,
-  //    and the HCI proxy (stage-refined when the catalog spec is known).
-  //    Net loads are accumulated in one serial pass (Module::sinks() is a
+  // -- Per-instance summaries: pin toggles and the load-weighted switching
+  //    bound; the HCI proxy follows below. Net loads are accumulated in one serial pass (Module::sinks() is a
   //    full-instance scan — per-instance lookups would be quadratic).
   std::vector<double> net_load_ff(n_net, 0.0);
   for (std::size_t i = 0; i < n_inst; ++i) {
     const auto& fanin = instances[i].fanin;
-    const auto pins = nodes[i].cell->input_pins();
-    for (std::size_t j = 0; j < fanin.size() && j < pins.size(); ++j) {
+    const liberty::Cell& cell = *nodes[i].cell;
+    for (std::size_t j = 0; j < fanin.size(); ++j) {
       if (fanin[j] == netlist::kNoNet) continue;
       net_load_ff[static_cast<std::size_t>(fanin[j])] +=
-          nodes[i].cell->input_cap_ff(pins[j]->name);
+          cell.input_cap_ff(cell.input_pin(j).name);
     }
   }
   report.instances.assign(n_inst, InstanceActivity{});
@@ -388,53 +429,68 @@ ActivityReport analyze_network_activity(const NetworkModel& model,
       ia.switch_cap_ff =
           RealInterval{ia.load_ff * ia.output_toggles.lo, ia.load_ff * ia.output_toggles.hi};
     }
-    if (!node.is_flop && node.k > 0) {
-      try {
-        const cells::CellSpec& spec = cells::find_cell(node.cell->name);
-        if (!spec.is_flop && !spec.stages.empty() &&
-            static_cast<int>(spec.inputs.size()) == node.k) {
-          std::vector<Interval> probs(static_cast<std::size_t>(node.k));
-          std::vector<Interval> dens(static_cast<std::size_t>(node.k));
-          for (int j = 0; j < node.k; ++j) {
-            const netlist::NetId f = inst.fanin[static_cast<std::size_t>(j)];
-            probs[static_cast<std::size_t>(j)] =
-                f == netlist::kNoNet ? Interval::full() : prob[static_cast<std::size_t>(f)];
-            dens[static_cast<std::size_t>(j)] = ia.pin_toggles[static_cast<std::size_t>(j)];
-          }
-          const auto devices = transistor_activity_bounds(spec, probs, dens);
-          if (!devices.empty()) {
-            RealInterval worst{0.0, 0.0};
-            for (const TransistorActivity& t : devices) {
-              worst.lo = std::max(worst.lo, t.toggles.lo);
-              worst.hi = std::max(worst.hi, t.toggles.hi);
-            }
-            ia.hci = worst;
-            ia.hci_from_stacks = true;
-          }
-        }
-      } catch (const std::exception&) {
-        ia.hci_from_stacks = false;
-      }
-    }
-    if (!ia.hci_from_stacks) {
-      // Pin-level fallback: every pin drives at least one gate node, and any
-      // internal node's toggle needs at least one pin toggle per boundary.
-      double lo = 0.0;
-      double hi = 0.0;
-      bool clockish = false;
-      for (const Interval& pin : ia.pin_toggles) {
-        lo = std::max(lo, pin.lo);
-        hi += pin.hi;
-        if (pin.hi > 1.0) clockish = true;
-      }
-      if (!clockish) hi = std::min(hi, 1.0);
-      ia.hci = RealInterval{lo, std::max(hi, lo)};
-    }
   };
   if (parallel && n_inst > 1) {
     pool.parallel_for(n_inst, [&](std::size_t i) { summarize(i); });
   } else {
     for (std::size_t i = 0; i < n_inst; ++i) summarize(i);
+  }
+
+  // -- HCI proxies, refined through the cell's compiled stage network when
+  //    it has one. The refinement is a pure function of (cell, pin
+  //    probabilities, pin toggles), and a design repeats few of those —
+  //    RISC-5P's 1,730 staged instances hold 28 under the default model —
+  //    so each distinct input, compared bitwise, is evaluated once.
+  std::vector<std::int32_t> stage_input(n_inst, -1);
+  std::vector<StageInputs> distinct;
+  {
+    std::unordered_map<StageInputs, std::int32_t, StageInputsHash> index;
+    for (std::size_t i = 0; i < n_inst; ++i) {
+      const NetworkNode& node = nodes[i];
+      if (node.is_flop || node.k == 0 || node.stages == nullptr || node.stages->n_pins != node.k) {
+        continue;
+      }
+      StageInputs in;
+      in.cell = node.stages;
+      in.k = node.k;
+      for (int j = 0; j < node.k; ++j) {
+        const netlist::NetId f = instances[i].fanin[static_cast<std::size_t>(j)];
+        in.prob[j] = f == netlist::kNoNet ? Interval::full() : prob[static_cast<std::size_t>(f)];
+        in.toggles[j] = report.instances[i].pin_toggles[static_cast<std::size_t>(j)];
+      }
+      const auto [it, inserted] = index.try_emplace(in, static_cast<std::int32_t>(distinct.size()));
+      if (inserted) distinct.push_back(in);
+      stage_input[i] = it->second;
+    }
+  }
+  std::vector<std::optional<RealInterval>> stage_hci(distinct.size());
+  const auto refine = [&](std::size_t d) {
+    stage_hci[d] = worst_transistor_toggles(*distinct[d].cell, distinct[d].prob, distinct[d].toggles);
+  };
+  if (parallel && distinct.size() > 1) {
+    pool.parallel_for(distinct.size(), refine);
+  } else {
+    for (std::size_t d = 0; d < distinct.size(); ++d) refine(d);
+  }
+  for (std::size_t i = 0; i < n_inst; ++i) {
+    InstanceActivity& ia = report.instances[i];
+    if (stage_input[i] >= 0 && stage_hci[static_cast<std::size_t>(stage_input[i])]) {
+      ia.hci = *stage_hci[static_cast<std::size_t>(stage_input[i])];
+      ia.hci_from_stacks = true;
+      continue;
+    }
+    // Pin-level fallback: every pin drives at least one gate node, and any
+    // internal node's toggle needs at least one pin toggle per boundary.
+    double lo = 0.0;
+    double hi = 0.0;
+    bool clockish = false;
+    for (const Interval& pin : ia.pin_toggles) {
+      lo = std::max(lo, pin.lo);
+      hi += pin.hi;
+      if (pin.hi > 1.0) clockish = true;
+    }
+    if (!clockish) hi = std::min(hi, 1.0);
+    ia.hci = RealInterval{lo, std::max(hi, lo)};
   }
 
   for (std::size_t net = 0; net < n_net; ++net) {

@@ -95,6 +95,8 @@ struct ActivityOptions {
   /// Transitions per cycle pinned on the clock net (2 = one rising + one
   /// falling edge, matching extract_duty_cycles's 0.5-duty convention).
   double clock_transitions = 2.0;
+
+  [[nodiscard]] bool operator==(const ActivityOptions&) const = default;
 };
 
 /// Per-instance activity summary for the multi-mechanism stress models.
@@ -148,6 +150,12 @@ ActivityReport analyze_activity(const netlist::Module& module,
 /// Same over a prebuilt structural model (shared with `analyze_network`).
 ActivityReport analyze_network_activity(const NetworkModel& model,
                                         const ActivityOptions& options = {});
+
+/// Same, on the probability fixed point `analyze_network(model,
+/// options.probability)` that the caller already holds.
+ActivityReport analyze_network_activity(const NetworkModel& model,
+                                        const ActivityOptions& options,
+                                        StressReport probability);
 
 /// Boolean difference ∂f/∂x_input of a k-input truth table: a (k−1)-input
 /// truth table over the remaining inputs in their original relative order.

@@ -64,6 +64,8 @@ struct AnalyzeOptions {
   int max_iterations = 64;       ///< cap on sequential fixed-point rounds
   double tolerance = 1e-9;       ///< convergence threshold on flop intervals
   bool parallel = true;          ///< levelized evaluation on ThreadPool::shared()
+
+  [[nodiscard]] bool operator==(const AnalyzeOptions&) const = default;
 };
 
 /// Provable per-instance duty-cycle bounds (footnote-2 aggregation).

@@ -2,6 +2,9 @@
 
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
+
+#include "stress/stacks.hpp"
 
 namespace rw::stress {
 
@@ -32,9 +35,11 @@ NetworkModel NetworkModel::build(const netlist::Module& module,
   const std::size_t n_inst = instances.size();
   const std::size_t n_net = static_cast<std::size_t>(module.net_count());
 
-  // -- Resolve every instance against the library.
+  // -- Resolve every instance against the library. What depends only on the
+  //    cell (pin masks, compiled stages) is derived once per distinct cell.
   std::vector<NetworkNode> nodes(n_inst);
   std::vector<std::uint8_t> is_flop(n_inst, 0);
+  std::unordered_map<const liberty::Cell*, NetworkNode> per_cell;
   for (std::size_t i = 0; i < n_inst; ++i) {
     const netlist::Instance& inst = instances[i];
     const liberty::Cell* cell =
@@ -43,7 +48,26 @@ NetworkModel NetworkModel::build(const netlist::Module& module,
       throw std::runtime_error("stress: unknown cell '" + inst.cell + "' on instance '" +
                                inst.name + "'");
     }
-    const int k = cell->n_inputs();
+    const auto [it, first_use] = per_cell.try_emplace(cell);
+    NetworkNode& proto = it->second;
+    if (first_use) {
+      proto.cell = cell;
+      proto.k = cell->n_inputs();
+      proto.is_flop = cell->is_flop;
+      proto.truth = cell->truth;
+      proto.stages = compiled_catalog_cell(cell->name);
+      int pin_index = 0;
+      for (const liberty::Pin& pin : cell->pins) {
+        if (!pin.is_input || pin_index >= kMaxGateInputs) continue;
+        if (pin.is_clock) {
+          proto.clock_pin_mask |= std::uint64_t{1} << pin_index;
+        } else if (proto.data_pin < 0) {
+          proto.data_pin = pin_index;
+        }
+        ++pin_index;
+      }
+    }
+    const int k = proto.k;
     if (static_cast<int>(inst.fanin.size()) != k) {
       throw std::runtime_error("stress: instance '" + inst.name + "' has " +
                                std::to_string(inst.fanin.size()) + " fanins but cell '" +
@@ -53,24 +77,11 @@ NetworkModel NetworkModel::build(const netlist::Module& module,
       throw std::runtime_error("stress: cell '" + cell->name + "' exceeds " +
                                std::to_string(kMaxGateInputs) + " inputs");
     }
-    NetworkNode& node = nodes[i];
-    node.cell = cell;
-    node.k = k;
-    node.is_flop = cell->is_flop;
-    node.truth = cell->truth;
-    int pin_index = 0;
-    for (const liberty::Pin* pin : cell->input_pins()) {
-      if (pin->is_clock) {
-        node.clock_pin_mask |= std::uint64_t{1} << pin_index;
-      } else if (node.data_pin < 0) {
-        node.data_pin = pin_index;
-      }
-      ++pin_index;
-    }
-    if (node.is_flop && node.data_pin < 0) {
+    if (proto.is_flop && proto.data_pin < 0) {
       throw std::runtime_error("stress: flop cell '" + cell->name + "' has no data pin");
     }
-    is_flop[i] = node.is_flop ? 1 : 0;
+    nodes[i] = proto;
+    is_flop[i] = proto.is_flop ? 1 : 0;
   }
   NetworkModel model(std::move(nodes), netlist::Graph(module, std::move(is_flop)));
   model.graph_.require_acyclic("stress");

@@ -24,9 +24,14 @@ namespace rw::stress {
 /// six inputs (2^6 patterns).
 inline constexpr int kMaxGateInputs = 6;
 
-/// Per-instance data resolved once up front.
+struct CompiledCell;  // stacks.hpp
+
+/// Per-instance data resolved once up front (once per distinct cell).
 struct NetworkNode {
   const liberty::Cell* cell = nullptr;
+  /// The cell's compiled catalog stage network; null for flops and for cells
+  /// the catalog does not hold under this exact name (λ-indexed corners).
+  const CompiledCell* stages = nullptr;
   std::uint64_t truth = 0;
   int k = 0;
   bool is_flop = false;

@@ -13,6 +13,8 @@
 /// bound. This quantifies how much the paper's footnote-2 *pin average*
 /// smears per-device stress — the spread is reported by bench/stress_bounds.
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,6 +22,39 @@
 #include "stress/interval.hpp"
 
 namespace rw::stress {
+
+/// A staged combinational cell's stage network compiled to slot indices.
+/// Slots [0, n_pins) are the pins and slot n_pins + s is stage s's output;
+/// every name a stage or a transistor gate reads resolves to the slot that
+/// defines it at that point of the cascade (pins by their last occurrence,
+/// transistor gates after the last stage), or to kUnknownSlot when nothing
+/// does — read as ⊤ correlated with every pin. That is exactly how the
+/// string-keyed spec reads, without a name lookup per evaluation.
+struct CompiledCell {
+  static constexpr int kUnknownSlot = -1;
+  struct Stage {
+    std::vector<int> signals;  ///< slot per pull-down signal, first-appearance order
+    std::uint64_t truth = 0;   ///< pull-down conduction over `signals` (≤ 6 of them)
+  };
+  struct Transistor {
+    device::MosType type = device::MosType::kNmos;
+    double width_um = 0.0;
+    int gate = kUnknownSlot;  ///< gate-node slot
+    std::string gate_name;
+  };
+  int n_pins = 0;
+  std::vector<Stage> stages;
+  std::vector<Transistor> transistors;  ///< `cells::materialize` order
+
+  [[nodiscard]] int slot_count() const { return n_pins + static_cast<int>(stages.size()); }
+};
+
+/// The compiled stage network of the catalog cell named `name`, or null when
+/// the catalog has no staged combinational cell of that name. Each cell is
+/// compiled on first use (a design instantiates a few dozen of the catalog's
+/// cells, and a process that never asks pays nothing) and kept for the
+/// process; safe to call concurrently.
+const CompiledCell* compiled_catalog_cell(const std::string& name);
 
 struct TransistorStress {
   device::MosType type = device::MosType::kNmos;
@@ -57,6 +92,14 @@ struct TransistorActivity {
 std::vector<TransistorActivity> transistor_activity_bounds(
     const cells::CellSpec& spec, const std::vector<Interval>& pin_probabilities,
     const std::vector<Interval>& pin_toggles);
+
+/// The HCI proxy of `transistor_activity_bounds` without the per-device
+/// list: over every transistor, the largest toggle lower bound and the
+/// largest upper bound; null when the cell has no transistors.
+/// `pin_probabilities` and `pin_toggles` hold `cell.n_pins` entries each.
+/// Allocation-free for cells of up to 16 slots (every catalog cell).
+[[nodiscard]] std::optional<RealInterval> worst_transistor_toggles(
+    const CompiledCell& cell, const Interval* pin_probabilities, const Interval* pin_toggles);
 
 /// Widest per-device deviation from the cell-level footnote-2 average:
 /// max over devices of the distance between the device's λ interval midpoint

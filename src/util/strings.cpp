@@ -71,8 +71,15 @@ bool parse_indexed_cell_name(std::string_view name, std::string& base, double& l
 }
 
 void append_json_string(std::string& out, std::string_view text) {
+  // Runs of characters that need no escape are appended whole: the serve
+  // path escapes a multi-kilobyte Liberty text into every reply.
   out += '"';
-  for (const char c : text) {
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) continue;
+    out.append(text, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
         out += "\\\"";
@@ -89,17 +96,15 @@ void append_json_string(std::string& out, std::string_view text) {
       case '\t':
         out += "\\t";
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xf];
-          out += hex[c & 0xf];
-        } else {
-          out += c;
-        }
+      default: {
+        constexpr const char* hex = "0123456789abcdef";
+        out += "\\u00";
+        out += hex[(c >> 4) & 0xf];
+        out += hex[c & 0xf];
+      }
     }
   }
+  out.append(text, run, text.size() - run);
   out += '"';
 }
 

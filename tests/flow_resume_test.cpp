@@ -13,11 +13,15 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
+#include "flow/artifact.hpp"
 #include "flow/cancel.hpp"
 #include "flow/chaos.hpp"
 #include "flow/guardband_flow.hpp"
+#include "lint/linter.hpp"
 #include "spice/fault.hpp"
 #include "spice/solver.hpp"
 #include "util/thread_pool.hpp"
@@ -160,6 +164,64 @@ TEST_F(FlowResumeTest, ResumedRunReportMarksCompletedStagesCached) {
                            std::istreambuf_iterator<char>()};
   EXPECT_NE(report.find("\"cached\""), std::string::npos);
   EXPECT_EQ(report.find("\"failed\""), std::string::npos);
+}
+
+TEST_F(FlowResumeTest, CorruptedAnnotationStillTripsTheStressOracle) {
+  // The dynamic flow's oracle checks the annotated copy against the λ
+  // bounds its pre-flight proved. Corrupt the simulate checkpoint so the
+  // flop's duty cycle (its clock pin keeps λn inside [0.25, 0.75]) reads as
+  // λn = 0, drop the characterize checkpoint so the corrupted corner is
+  // built, and resume: the oracle must refuse the run with SP001.
+  const std::string flow_dir = dir_ + "/flow";
+  flow::OrchestratorOptions orch;
+  orch.dir = flow_dir;
+  {
+    charlib::LibraryFactory factory(flow::chaos_factory_options());
+    (void)flow::run_orchestrated_guardband(factory, orch);
+  }
+  const auto slurp = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  };
+  const std::string simulate = flow_dir + "/01_simulate.art";
+  std::vector<double> v = flow::artifact::decode_doubles(slurp(simulate));
+  ASSERT_GE(v.size(), 7u);
+  ASSERT_EQ(v[0], 3.0);  // chaos_test_module: u1, u2, then the flop r1
+  v[5] = 1.0;            // r1 λp
+  v[6] = 0.0;            // r1 λn
+  const std::string corrupted = flow::artifact::encode_doubles(v);
+  {
+    std::ofstream out(simulate, std::ios::binary | std::ios::trunc);
+    out << corrupted;
+  }
+  // Keep the manifest's byte count in step, or the checkpoint is ignored.
+  std::string manifest = slurp(flow_dir + "/flow_manifest.json");
+  const std::string key = "\"artifact\":\"01_simulate.art\",\"bytes\":";
+  const std::size_t at = manifest.find(key);
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t digits = at + key.size();
+  manifest.replace(digits, manifest.find(',', digits) - digits, std::to_string(corrupted.size()));
+  {
+    std::ofstream out(flow_dir + "/flow_manifest.json", std::ios::binary | std::ios::trunc);
+    out << manifest;
+  }
+  ASSERT_TRUE(fs::remove(flow_dir + "/02_characterize.art"));
+
+  orch.resume = true;
+  charlib::LibraryFactory factory(flow::chaos_factory_options());
+  try {
+    (void)flow::run_orchestrated_guardband(factory, orch);
+    FAIL() << "expected the oracle to refuse the corrupted annotation";
+  } catch (const lint::LintError& e) {
+    bool flop_refused = false;
+    for (const lint::Diagnostic& d : e.diagnostics()) {
+      if (d.rule_id == lint::rules::kLambdaOutsideBounds &&
+          d.location.find("r1") != std::string::npos) {
+        flop_refused = true;
+      }
+    }
+    EXPECT_TRUE(flop_refused) << e.what();
+  }
 }
 
 TEST_F(FlowResumeTest, ShortFixedSeedChaosCampaignGradesAllGood) {

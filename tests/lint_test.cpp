@@ -603,6 +603,98 @@ TEST(ActivityRules, LintOrThrowRefusesContradictedMeasurements) {
 }
 
 // ---------------------------------------------------------------------------
+// SP and AC rules share one analysis per lint run.
+
+TEST(SharedAnalysis, DifferingInputModelsMatchSeparateSpAndAcRuns) {
+  const liberty::Library lib = small_lib();
+  netlist::Module m("t");
+  const auto a = m.add_net("a");
+  const auto b = m.add_net("b");
+  m.mark_input(a);
+  m.mark_input(b);
+  const auto n1 = m.add_net("n1");
+  const auto y = m.add_net("y");
+  m.add_instance("u1", "NAND2_X1", {a, b}, n1);
+  m.add_instance("u2", "INV_X1", {n1}, y);
+  m.mark_output(y);
+
+  // SP: `a` stuck at 1 freezes the cone (SP002). AC: free probabilities but
+  // quiet inputs, so the cone never toggles without being constant (AC002,
+  // which the SP model's constants would have suppressed).
+  stress::AnalyzeOptions sp_model;
+  sp_model.input_intervals["a"] = stress::Interval::point(1.0);
+  stress::ActivityOptions ac_model;
+  ac_model.probability.input_intervals["a"] = stress::Interval::point(0.5);
+  ac_model.probability.input_intervals["b"] = stress::Interval::point(0.5);
+  ac_model.input_densities["a"] = stress::Interval::point(0.0);
+  ac_model.input_densities["b"] = stress::Interval::point(0.0);
+  LintSubject subject;
+  subject.module = &m;
+  subject.library = &lib;
+  subject.stress = &sp_model;
+  subject.activity = &ac_model;
+
+  Linter sp_only;
+  sp_only.add_rules(stress_rules());
+  Linter ac_only;
+  ac_only.add_rules(activity_rules());
+  std::vector<Diagnostic> expected = sp_only.run(subject);
+  for (Diagnostic& d : ac_only.run(subject)) expected.push_back(std::move(d));
+  ASSERT_TRUE(has_rule(expected, rules::kProvenConstant, Severity::kWarning));
+  ASSERT_TRUE(has_rule(expected, rules::kProvenQuiet, Severity::kInfo));
+
+  SubjectAnalysis analysis;
+  subject.analysis = &analysis;
+  std::vector<Diagnostic> shared;
+  for (Diagnostic& d : Linter::netlist_linter().run(subject)) {
+    if (d.rule_id.starts_with("SP") || d.rule_id.starts_with("AC")) shared.push_back(std::move(d));
+  }
+  EXPECT_EQ(to_json(shared), to_json(expected));
+
+  // The caller-owned analysis kept both fixed points, each the stand-alone one.
+  const auto sp = analysis.stress(subject);
+  const auto ac = analysis.activity(subject);
+  ASSERT_NE(sp, nullptr);
+  ASSERT_NE(ac, nullptr);
+  EXPECT_EQ(sp->net, stress::analyze(m, lib, sp_model).net);
+  EXPECT_EQ(ac->probability.net, stress::analyze(m, lib, ac_model.probability).net);
+  EXPECT_EQ(ac->density, stress::analyze_activity(m, lib, ac_model).density);
+}
+
+TEST(SharedAnalysis, AgreeingInputModelsShareOneFixedPoint) {
+  const liberty::Library lib = small_lib();
+  const netlist::Module m = inverter_module();
+  stress::AnalyzeOptions model;
+  model.input_intervals["a"] = stress::Interval{0.2, 0.4};
+  LintSubject subject;
+  subject.module = &m;
+  subject.library = &lib;
+  subject.stress = &model;
+  SubjectAnalysis analysis;
+  subject.analysis = &analysis;
+  (void)Linter::netlist_linter().run(subject);
+  const auto sp = analysis.stress(subject);
+  const auto ac = analysis.activity(subject);
+  ASSERT_NE(sp, nullptr);
+  ASSERT_NE(ac, nullptr);
+  EXPECT_EQ(ac->probability.net, sp->net);
+
+  // Structurally broken subjects get no analysis; the NL rules own them.
+  netlist::Module broken("bad");
+  const auto x = broken.add_net("x");
+  broken.mark_input(x);
+  const auto z = broken.add_net("z");
+  broken.add_instance("u1", "MYSTERY_X9", {x}, z);
+  LintSubject bad;
+  bad.module = &broken;
+  bad.library = &lib;
+  SubjectAnalysis refused;
+  EXPECT_FALSE(refused.analyzable(bad));
+  EXPECT_EQ(refused.stress(bad), nullptr);
+  EXPECT_EQ(refused.activity(bad), nullptr);
+}
+
+// ---------------------------------------------------------------------------
 // The flows refuse bad inputs with the same diagnostics rwlint reports.
 
 TEST(FlowPreflight, GuardbandFlowRefusesBrokenNetlist) {

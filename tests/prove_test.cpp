@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "charlib/factory.hpp"
@@ -271,6 +272,20 @@ TEST(ProveSoundness, SimulatedAgedDelayInsideProvenIntervalOnEveryBenchmark) {
     // Narrowing the input model can only tighten the proven interval.
     const auto proven_n = flow::proven_guardband(m, factory(), kYears, -1.0, narrow);
     ASSERT_FALSE(proven_n.summary.vacuous) << bc.name;
+    // The flow takes its bounds from the pre-flight's analysis; they are
+    // exactly what a stand-alone analysis proves.
+    for (const auto& [result, options] :
+         {std::pair{&proven, stress::AnalyzeOptions{}}, std::pair{&proven_n, narrow}}) {
+      const stress::StressReport expected = stress::analyze(m, lib(), options);
+      EXPECT_EQ(result->stress.net, expected.net) << bc.name;
+      EXPECT_EQ(result->stress.net_widened, expected.net_widened) << bc.name;
+      EXPECT_EQ(result->stress.iterations, expected.iterations) << bc.name;
+      ASSERT_EQ(result->stress.instances.size(), expected.instances.size()) << bc.name;
+      for (std::size_t i = 0; i < expected.instances.size(); ++i) {
+        EXPECT_EQ(result->stress.instances[i].lambda_n, expected.instances[i].lambda_n);
+        EXPECT_EQ(result->stress.instances[i].lambda_p, expected.instances[i].lambda_p);
+      }
+    }
     const stress::RealInterval nv = proven_n.summary.aged_cp_ps;
     EXPECT_GE(nv.lo, iv.lo - kEps) << bc.name;
     EXPECT_LE(nv.hi, iv.hi + kEps) << bc.name;

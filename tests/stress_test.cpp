@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cells/catalog.hpp"
@@ -355,6 +359,173 @@ TEST(Stacks, MultiStageInternalNodesArePropagated) {
   }
 }
 
+// ------------------------------------------------ compiled stage networks --
+
+/// The string-keyed stage evaluation the compiled cells replace: every node
+/// looked up by name in a map, every stage's truth table re-derived by
+/// string compares. Kept here as the reference the compiled form must match
+/// bit for bit.
+struct RefNode {
+  Interval prob = Interval::full();
+  Interval dens = Interval::full();
+  std::uint64_t pin_support = 0;
+};
+
+std::uint64_t ref_stage_truth(const cells::Stage& stage, const std::vector<std::string>& signals) {
+  const int k = static_cast<int>(signals.size());
+  std::uint64_t truth = 0;
+  for (std::uint64_t pat = 0; pat < (std::uint64_t{1} << k); ++pat) {
+    const bool on = stage.pulldown.conducts([&](const std::string& sig) {
+      for (int i = 0; i < k; ++i) {
+        if (signals[static_cast<std::size_t>(i)] == sig) return ((pat >> i) & 1u) != 0;
+      }
+      return false;
+    });
+    if (on) truth |= std::uint64_t{1} << pat;
+  }
+  return truth;
+}
+
+/// Node states of every pin and stage output by name, plus the state an
+/// unknown name reads as. `toggles` empty: the probability half only.
+std::pair<std::map<std::string, RefNode>, RefNode> ref_propagate(
+    const cells::CellSpec& spec, const std::vector<Interval>& probs,
+    const std::vector<Interval>& toggles) {
+  const std::uint64_t all_pins = (std::uint64_t{1} << spec.inputs.size()) - 1;
+  double top_hi = 1.0;
+  for (const Interval& t : toggles) top_hi = std::max(top_hi, t.hi);
+  const RefNode unknown{Interval::full(), Interval{0.0, top_hi}, all_pins};
+  std::map<std::string, RefNode> node;
+  for (std::size_t i = 0; i < spec.inputs.size(); ++i) {
+    node[spec.inputs[i]] = RefNode{probs[i].clamped(),
+                                   toggles.empty() ? Interval::full() : toggles[i],
+                                   std::uint64_t{1} << i};
+  }
+  const auto state_of = [&](const std::string& name) {
+    const auto it = node.find(name);
+    return it != node.end() ? it->second : unknown;
+  };
+  for (const cells::Stage& stage : spec.stages) {
+    const std::vector<std::string> signals = stage.pulldown.signals();
+    const int k = static_cast<int>(signals.size());
+    RefNode out;
+    for (const std::string& sig : signals) out.pin_support |= state_of(sig).pin_support;
+    Interval p[6];
+    Interval d[6];
+    bool correlated = false;
+    std::uint64_t seen = 0;
+    for (int i = 0; i < k; ++i) {
+      const RefNode st = state_of(signals[static_cast<std::size_t>(i)]);
+      p[i] = st.prob;
+      d[i] = st.dens;
+      if (!st.prob.is_constant()) {
+        if ((seen & st.pin_support) != 0) correlated = true;
+        seen |= st.pin_support;
+      }
+    }
+    const std::uint64_t truth = ref_stage_truth(stage, signals);
+    if (!toggles.empty()) {
+      out.dens = correlated ? density_correlated(truth, k, p, d)
+                            : density_independent(truth, k, p, d);
+    }
+    out.prob = (correlated ? transfer_correlated(truth, k, p) : transfer_independent(truth, k, p))
+                   .complement();
+    node[stage.out] = out;
+  }
+  return {std::move(node), unknown};
+}
+
+/// A seeded pin interval: constant pins, points, and wide boxes.
+Interval seeded_probability(util::Rng& rng) {
+  switch (rng.next_below(4)) {
+    case 0:
+      return Interval::point(rng.chance(0.5) ? 1.0 : 0.0);
+    case 1:
+      return Interval::point(rng.uniform(0.0, 1.0));
+    default: {
+      const double a = rng.uniform(0.0, 1.0);
+      const double b = rng.uniform(0.0, 1.0);
+      return Interval{std::min(a, b), std::max(a, b)};
+    }
+  }
+}
+
+/// A seeded toggle density, clock-fed (above 1) one time in five.
+Interval seeded_density(util::Rng& rng) {
+  if (rng.next_below(5) == 0) return Interval::point(2.0);
+  const double a = rng.uniform(0.0, 1.0);
+  const double b = rng.uniform(0.0, 1.0);
+  return Interval{std::min(a, b), std::max(a, b)};
+}
+
+TEST(CompiledStages, EveryStagedCatalogCellMatchesTheStringKeyedReferenceBitwise) {
+  util::Rng rng(0x57a9e5ULL);
+  int cells_checked = 0;
+  for (const cells::CellSpec& spec : cells::catalog()) {
+    if (spec.is_flop || spec.stages.empty()) continue;
+    ++cells_checked;
+    const auto devices = cells::materialize(spec, device::ptm45());
+    for (int trial = 0; trial < 40; ++trial) {
+      std::vector<Interval> probs;
+      std::vector<Interval> toggles;
+      for (std::size_t i = 0; i < spec.inputs.size(); ++i) {
+        probs.push_back(seeded_probability(rng));
+        toggles.push_back(seeded_density(rng));
+      }
+      const auto [prob_nodes, prob_unknown] = ref_propagate(spec, probs, {});
+      const auto [dyn_nodes, dyn_unknown] = ref_propagate(spec, probs, toggles);
+      const auto ref = [](const std::map<std::string, RefNode>& nodes, const RefNode& unknown,
+                          const std::string& gate) {
+        const auto it = nodes.find(gate);
+        return it != nodes.end() ? it->second : unknown;
+      };
+
+      const auto stresses = transistor_stress_bounds(spec, probs);
+      const auto activity = transistor_activity_bounds(spec, probs, toggles);
+      ASSERT_EQ(stresses.size(), devices.size()) << spec.name;
+      ASSERT_EQ(activity.size(), devices.size()) << spec.name;
+      for (std::size_t t = 0; t < devices.size(); ++t) {
+        SCOPED_TRACE(spec.name + " trial " + std::to_string(trial) + " device " +
+                     std::to_string(t) + " gate " + devices[t].gate);
+        const Interval high = ref(prob_nodes, prob_unknown, devices[t].gate).prob;
+        const Interval lambda =
+            devices[t].type == device::MosType::kNmos ? high : high.complement();
+        EXPECT_EQ(stresses[t].gate, devices[t].gate);
+        EXPECT_EQ(stresses[t].type, devices[t].type);
+        EXPECT_EQ(stresses[t].width_um, devices[t].width_um);
+        EXPECT_EQ(stresses[t].lambda.lo, lambda.lo);
+        EXPECT_EQ(stresses[t].lambda.hi, lambda.hi);
+        const Interval dens = ref(dyn_nodes, dyn_unknown, devices[t].gate).dens;
+        EXPECT_EQ(activity[t].gate, devices[t].gate);
+        EXPECT_EQ(activity[t].toggles.lo, dens.lo);
+        EXPECT_EQ(activity[t].toggles.hi, dens.hi);
+      }
+
+      // The allocation-free HCI proxy of the activity summaries agrees too.
+      const CompiledCell* compiled = compiled_catalog_cell(spec.name);
+      ASSERT_NE(compiled, nullptr) << spec.name;
+      const std::optional<RealInterval> worst =
+          worst_transistor_toggles(*compiled, probs.data(), toggles.data());
+      ASSERT_TRUE(worst.has_value()) << spec.name;
+      RealInterval expected{0.0, 0.0};
+      for (const TransistorActivity& t : activity) {
+        expected.lo = std::max(expected.lo, t.toggles.lo);
+        expected.hi = std::max(expected.hi, t.toggles.hi);
+      }
+      EXPECT_EQ(worst->lo, expected.lo) << spec.name;
+      EXPECT_EQ(worst->hi, expected.hi) << spec.name;
+    }
+  }
+  EXPECT_GT(cells_checked, 40);
+}
+
+TEST(CompiledStages, FlopsAndUnknownNamesHaveNoStageNetwork) {
+  EXPECT_EQ(compiled_catalog_cell("DFF_X1"), nullptr);
+  EXPECT_EQ(compiled_catalog_cell("NAND2_X1_0.30_0.70"), nullptr);
+  EXPECT_EQ(compiled_catalog_cell("NO_SUCH_CELL"), nullptr);
+  EXPECT_EQ(compiled_catalog_cell("NAND2_X1"), compiled_catalog_cell("NAND2_X1"));
+}
+
 // ------------------------------------------------------- bounded-static flow --
 
 TEST(BoundedStatic, GuardbandAtMostOneCornerStatic) {
@@ -372,6 +543,20 @@ TEST(BoundedStatic, GuardbandAtMostOneCornerStatic) {
   }
 }
 
+/// Bitwise equality of two probability reports.
+void expect_same_report(const StressReport& a, const StressReport& b) {
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.converged, b.converged);
+  EXPECT_EQ(a.net, b.net);
+  EXPECT_EQ(a.net_widened, b.net_widened);
+  ASSERT_EQ(a.instances.size(), b.instances.size());
+  for (std::size_t i = 0; i < a.instances.size(); ++i) {
+    EXPECT_EQ(a.instances[i].lambda_n, b.instances[i].lambda_n) << i;
+    EXPECT_EQ(a.instances[i].lambda_p, b.instances[i].lambda_p) << i;
+    EXPECT_EQ(a.instances[i].widened, b.instances[i].widened) << i;
+  }
+}
+
 TEST(BoundedStatic, NarrowedInputsCannotWorsenTheGuardband) {
   const netlist::Module m = mapped_design();
   const auto wide = flow::bounded_static_guardband(m, factory(), 10.0);
@@ -382,6 +567,10 @@ TEST(BoundedStatic, NarrowedInputsCannotWorsenTheGuardband) {
   const auto tight = flow::bounded_static_guardband(m, factory(), 10.0, narrowed);
   EXPECT_LE(tight.report.guardband_ps(), wide.report.guardband_ps() + 1e-6);
   EXPECT_LE(tight.candidate_corners, wide.candidate_corners);
+  // The flow takes its bounds from the pre-flight's analysis; they are
+  // exactly what a stand-alone analysis proves.
+  expect_same_report(wide.stress, analyze(m, lib()));
+  expect_same_report(tight.stress, analyze(m, lib(), narrowed));
 }
 
 // ------------------------------------------------------------------- CLI ----
