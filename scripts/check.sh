@@ -114,17 +114,17 @@ asan_json() {
 }
 
 # The fault-injection paths (injector arming, in-flight dedup failure
-# propagation, manifest writes), the stress analyzer's levelized parallel
-# evaluation, and the cancellation polls (token + watchdog + cv waiters)
-# are concurrency surfaces; run them in a dedicated TSan tree alongside
-# the plain-build run above.
+# propagation, manifest writes), the lint rules that run concurrently and
+# share one stress/activity analysis behind its mutex, and the cancellation
+# polls (token + watchdog + cv waiters) are concurrency surfaces; run them
+# in a dedicated TSan tree alongside the plain-build run above.
 TSAN_DIR="${BUILD_DIR}-tsan"
 tsan_build() {
   cmake -B "$TSAN_DIR" -S . -DRW_SANITIZE=thread
   cmake --build "$TSAN_DIR" -j "$JOBS" --target \
     resilience_test thread_pool_test stress_test activity_test prove_test \
-    cancel_test orchestrator_test flow_resume_test rwchaos rwprove \
-    rwactivity perf_smoke_test adaptive_grid_test serve_test
+    lint_test cancel_test orchestrator_test flow_resume_test rwchaos rwprove \
+    rwactivity rwlint perf_smoke_test adaptive_grid_test serve_test
 }
 
 # A FAILING gate, not advisory: lint_cxx passes --warnings-as-errors=* so any
@@ -211,9 +211,9 @@ step "cli: malformed command lines exit 64 before any work" \
 step "JSON codec + line reader under AddressSanitizer" asan_json
 if [[ "${RW_SKIP_TSAN:-0}" != "1" ]]; then
   step "ThreadSanitizer: build" tsan_build
-  for label in resilience stress activity prove chaos serve perf; do
-    # The density sweep (activity) shares the stress analyzer's levelized
-    # parallel evaluation (one writer per output net), and activity_test
+  for label in resilience stress lint activity prove chaos serve perf; do
+    # The lint label runs the SP and AC rules concurrently over one shared
+    # analysis (one builder, the others wait on its mutex); activity_test
     # also drives the rwactivity CLI's thread-invariance contract. The serve
     # label (daemon supervisor, socketpair worker protocol, client retry
     # loop) forks real daemons; TSan watches the pre-fork pool shrink and

@@ -1,9 +1,12 @@
 #include "flow/artifact.hpp"
 
+#include <cctype>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
 
 #include "netlist/verilog.hpp"
 #include "util/number.hpp"
@@ -37,14 +40,30 @@ class TokenReader {
     }
   }
 
+  /// Exactly what `hex()` writes: an optional '-', then "0x" and hex
+  /// digits, or "inf" / "nan".
   double number(const char* what) {
     const std::string t = word(what);
-    char* end = nullptr;
-    const double v = std::strtod(t.c_str(), &end);
-    if (end == t.c_str() || *end != '\0') {
+    std::string_view digits = t;
+    const bool negative = digits.starts_with('-');
+    if (negative) digits.remove_prefix(1);
+    if (digits.starts_with("0x")) {
+      // from_chars takes the digits without "0x"; after it, a sign or
+      // "inf"/"nan" would pass too.
+      digits.remove_prefix(2);
+      if (digits.empty() || std::isxdigit(static_cast<unsigned char>(digits.front())) == 0) {
+        digits = "";
+      }
+    } else if (digits != "inf" && digits != "nan") {
+      digits = "";
+    }
+    double v = 0.0;
+    const char* end = digits.data() + digits.size();
+    const auto [stop, ec] = std::from_chars(digits.data(), end, v, std::chars_format::hex);
+    if (ec != std::errc{} || stop != end) {
       throw std::runtime_error(std::string("artifact: bad number for ") + what);
     }
-    return v;
+    return negative ? -v : v;
   }
 
   template <typename Int = long long>

@@ -3,11 +3,12 @@
 /// \file artifact.hpp
 /// Lossless stage-artifact codecs for the flow orchestrator. Liberty text is
 /// the wrong checkpoint format — its writer rounds to 4 decimals — so stage
-/// outputs are serialized with C99 hexfloats (`%a`, parsed back by strtod),
-/// which round-trip IEEE-754 doubles exactly. That exactness is what makes
-/// `kill -9` + RW_FLOW_RESUME=1 bitwise-identical to an uninterrupted run:
-/// the orchestrator feeds every downstream stage the *decoded* artifact even
-/// when the stage was just computed, so both runs consume identical bytes.
+/// outputs are serialized with C99 hexfloats (`%a`, parsed back by
+/// `std::from_chars`), which round-trip IEEE-754 doubles exactly. That
+/// exactness is what makes `kill -9` + RW_FLOW_RESUME=1 bitwise-identical to
+/// an uninterrupted run: the orchestrator feeds every downstream stage the
+/// *decoded* artifact even when the stage was just computed, so both runs
+/// consume identical bytes.
 ///
 /// The format is line-oriented tagged text (stable, diffable, versioned by
 /// a leading magic token per codec). Decoders throw std::runtime_error on

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -87,6 +88,37 @@ ChaosTrialResult classify(const ChaosPlan& plan, std::string outcome, std::strin
   t.detail = std::move(detail);
   t.wall_ms = wall_ms;
   return t;
+}
+
+/// The loop every campaign shares: the shared pool at one thread
+/// throughout (trials fork, and fork() must not race live pool threads),
+/// `work_root` created, the reference `make_reference` computes, one trial
+/// per seed in `work_root/trial_<seed>`, the outcome histogram and the
+/// verdict.
+ChaosCampaignResult run_campaign(
+    std::uint64_t base_seed, int n_trials, const std::string& work_root,
+    const std::function<std::string()>& make_reference,
+    const std::function<ChaosTrialResult(std::uint64_t, const std::string&, const std::string&)>&
+        run_trial) {
+  util::set_shared_thread_count(1);
+  ChaosCampaignResult campaign;
+  std::error_code ec;
+  fs::create_directories(work_root, ec);
+  const std::string reference = make_reference();
+  for (int i = 0; i < n_trials; ++i) {
+    const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(i);
+    ChaosTrialResult trial =
+        run_trial(seed, work_root + "/trial_" + std::to_string(seed), reference);
+    campaign.histogram[trial.outcome] += 1;
+    campaign.trials.push_back(std::move(trial));
+  }
+  campaign.all_good = true;
+  for (const auto& [outcome, count] : campaign.histogram) {
+    (void)count;
+    if (outcome != "ok" && outcome != "failed_then_resumed") campaign.all_good = false;
+  }
+  util::set_shared_thread_count(0);  // restore the default pool size
+  return campaign;
 }
 
 }  // namespace
@@ -273,43 +305,23 @@ ChaosTrialResult run_chaos_trial(const ChaosPlan& plan, const std::string& work_
 
 ChaosCampaignResult run_chaos_campaign(std::uint64_t base_seed, int n_trials,
                                        const std::string& work_root) {
-  util::set_shared_thread_count(1);  // fork() in crash trials must not race
-                                     // live pool threads
-  ChaosCampaignResult campaign;
-  std::error_code ec;
-  fs::create_directories(work_root, ec);
-
   // Disarmed reference: the uninterrupted orchestrated run every no-fault
   // trial must reproduce bitwise.
-  std::string reference_signature;
-  {
+  const auto reference = [&] {
     TrialHygiene hygiene;
+    std::error_code ec;
     fs::remove_all(work_root + "/reference", ec);
     OrchestratorOptions orch;
     orch.dir = work_root + "/reference/flow";
     charlib::LibraryFactory factory(chaos_factory_options());
-    reference_signature = result_signature(run_orchestrated_guardband(factory, orch));
-  }
-
-  for (int i = 0; i < n_trials; ++i) {
-    const ChaosPlan plan = plan_for_seed(base_seed + static_cast<std::uint64_t>(i));
-    ChaosTrialResult trial =
-        run_chaos_trial(plan, work_root + "/trial_" + std::to_string(plan.seed),
-                        reference_signature);
-    campaign.histogram[trial.outcome] += 1;
-    campaign.trials.push_back(std::move(trial));
-  }
-  campaign.all_good = true;
-  for (const auto& [outcome, count] : campaign.histogram) {
-    (void)count;
-    if (outcome != "ok" && outcome != "failed_then_resumed") campaign.all_good = false;
-  }
-  util::set_shared_thread_count(0);  // restore the default pool size
-  return campaign;
-}
-
-std::string campaign_json(const ChaosCampaignResult& campaign, std::uint64_t base_seed) {
-  return campaign_json(campaign, base_seed, "chaos_campaign");
+    return result_signature(run_orchestrated_guardband(factory, orch));
+  };
+  return run_campaign(base_seed, n_trials, work_root, reference,
+                      [](std::uint64_t seed, const std::string& work_dir,
+                         const std::string& reference_signature) {
+                        return run_chaos_trial(plan_for_seed(seed), work_dir,
+                                               reference_signature);
+                      });
 }
 
 std::string campaign_json(const ChaosCampaignResult& campaign, std::uint64_t base_seed,
@@ -583,29 +595,14 @@ ChaosTrialResult run_serve_chaos_trial(const ServeChaosPlan& plan, const std::st
 
 ChaosCampaignResult run_serve_chaos_campaign(std::uint64_t base_seed, int n_trials,
                                              const std::string& work_root) {
-  util::set_shared_thread_count(1);  // the daemon forks; no live pool threads
-  util::io::ignore_sigpipe();        // daemon restarts race client writes
-  ChaosCampaignResult campaign;
-  std::error_code ec;
-  fs::create_directories(work_root, ec);
-
+  util::io::ignore_sigpipe();  // daemon restarts race client writes
   // The in-process reference every served byte is graded against.
-  const std::string reference_library = serve_reference_library();
-
-  for (int i = 0; i < n_trials; ++i) {
-    const ServeChaosPlan plan = serve_plan_for_seed(base_seed + static_cast<std::uint64_t>(i));
-    ChaosTrialResult trial = run_serve_chaos_trial(
-        plan, work_root + "/trial_" + std::to_string(plan.seed), reference_library);
-    campaign.histogram[trial.outcome] += 1;
-    campaign.trials.push_back(std::move(trial));
-  }
-  campaign.all_good = true;
-  for (const auto& [outcome, count] : campaign.histogram) {
-    (void)count;
-    if (outcome != "ok" && outcome != "failed_then_resumed") campaign.all_good = false;
-  }
-  util::set_shared_thread_count(0);
-  return campaign;
+  return run_campaign(base_seed, n_trials, work_root, serve_reference_library,
+                      [](std::uint64_t seed, const std::string& work_dir,
+                         const std::string& reference_library) {
+                        return run_serve_chaos_trial(serve_plan_for_seed(seed), work_dir,
+                                                     reference_library);
+                      });
 }
 
 // ---------------------------------------------------------------------------
@@ -936,28 +933,13 @@ ChaosTrialResult run_serve_fleet_trial(const FleetChaosPlan& plan, const std::st
 
 ChaosCampaignResult run_serve_fleet_campaign(std::uint64_t base_seed, int n_trials,
                                              const std::string& work_root) {
-  util::set_shared_thread_count(1);  // the daemons fork; no live pool threads
-  util::io::ignore_sigpipe();        // daemon deaths race client writes
-  ChaosCampaignResult campaign;
-  std::error_code ec;
-  fs::create_directories(work_root, ec);
-
-  const std::string reference_library = serve_reference_library();
-
-  for (int i = 0; i < n_trials; ++i) {
-    const FleetChaosPlan plan = fleet_plan_for_seed(base_seed + static_cast<std::uint64_t>(i));
-    ChaosTrialResult trial = run_serve_fleet_trial(
-        plan, work_root + "/trial_" + std::to_string(plan.seed), reference_library);
-    campaign.histogram[trial.outcome] += 1;
-    campaign.trials.push_back(std::move(trial));
-  }
-  campaign.all_good = true;
-  for (const auto& [outcome, count] : campaign.histogram) {
-    (void)count;
-    if (outcome != "ok" && outcome != "failed_then_resumed") campaign.all_good = false;
-  }
-  util::set_shared_thread_count(0);
-  return campaign;
+  util::io::ignore_sigpipe();  // daemon deaths race client writes
+  return run_campaign(base_seed, n_trials, work_root, serve_reference_library,
+                      [](std::uint64_t seed, const std::string& work_dir,
+                         const std::string& reference_library) {
+                        return run_serve_fleet_trial(fleet_plan_for_seed(seed), work_dir,
+                                                     reference_library);
+                      });
 }
 
 }  // namespace rw::flow

@@ -94,13 +94,10 @@ ChaosTrialResult run_chaos_trial(const ChaosPlan& plan, const std::string& work_
 ChaosCampaignResult run_chaos_campaign(std::uint64_t base_seed, int n_trials,
                                        const std::string& work_root);
 
-/// Machine-readable campaign summary (BENCH_chaos.json / rwchaos --json-out).
-std::string campaign_json(const ChaosCampaignResult& campaign, std::uint64_t base_seed);
-
-/// As above with an explicit bench name ("chaos_campaign",
-/// "serve_chaos_campaign", ...).
+/// Machine-readable campaign summary (BENCH_chaos.json / rwchaos --json-out)
+/// under a bench name ("chaos_campaign", "serve_chaos_campaign", ...).
 std::string campaign_json(const ChaosCampaignResult& campaign, std::uint64_t base_seed,
-                          const std::string& bench_name);
+                          const std::string& bench_name = "chaos_campaign");
 
 // ---------------------------------------------------------------------------
 // Serve campaign: the same crash-only contract, applied to rwserved.

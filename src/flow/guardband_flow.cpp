@@ -217,13 +217,13 @@ BoundedStaticResult bounded_static_guardband(const netlist::Module& module,
 
   const liberty::Library fresh = fresh_library_stage(run, factory);
   lint::SubjectAnalysis preflight;
-  preflight_netlist(module, fresh, &stress_options, &preflight);
+  const lint::LintSubject linted = preflight_netlist(module, fresh, &stress_options, &preflight);
 
   // 1. Prove per-instance λ bounds — no simulation, no workload. The
   // pre-flight's SP rule proved them already (inline, so also on resumed
   // runs).
   BoundedStaticResult result{netlist::Module(module), {}, {}, {}, 0};
-  result.stress = preflight_stress(preflight, module, fresh, stress_options);
+  result.stress = preflight.stress_report(linted);
 
   constexpr double kStep = 0.1;  // the annotate/merge λ grid
   const auto grid_range = [&](const stress::Interval& bound) {

@@ -20,9 +20,7 @@ liberty::Library fresh_library_stage(FlowOrchestrator& run, charlib::LibraryFact
       artifact::encode_library, artifact::decode_library);
 }
 
-namespace {
-
-lint::LintSubject preflight_subject(const netlist::Module& module, const liberty::Library& fresh,
+lint::LintSubject preflight_netlist(const netlist::Module& module, const liberty::Library& fresh,
                                     const stress::AnalyzeOptions* stress_options,
                                     lint::SubjectAnalysis* analysis) {
   lint::LintSubject subject;
@@ -30,24 +28,8 @@ lint::LintSubject preflight_subject(const netlist::Module& module, const liberty
   subject.library = &fresh;
   subject.stress = stress_options;
   subject.analysis = analysis;
+  lint::report_diagnostics(lint::lint_or_throw(lint::Linter::netlist_linter(), subject));
   return subject;
-}
-
-}  // namespace
-
-void preflight_netlist(const netlist::Module& module, const liberty::Library& fresh,
-                       const stress::AnalyzeOptions* stress_options,
-                       lint::SubjectAnalysis* analysis) {
-  lint::report_diagnostics(lint::lint_or_throw(
-      lint::Linter::netlist_linter(), preflight_subject(module, fresh, stress_options, analysis)));
-}
-
-stress::StressReport preflight_stress(lint::SubjectAnalysis& analysis,
-                                      const netlist::Module& module,
-                                      const liberty::Library& fresh,
-                                      const stress::AnalyzeOptions& options) {
-  const auto proven = analysis.stress(preflight_subject(module, fresh, &options, &analysis));
-  return proven != nullptr ? *proven : stress::analyze(module, fresh, options);
 }
 
 void preflight_library(const liberty::Library& library, const liberty::Library* fresh) {

@@ -27,20 +27,11 @@ liberty::Library fresh_library_stage(FlowOrchestrator& run, charlib::LibraryFact
 /// inside STA or characterization. The library is factory-generated, so
 /// only the netlist, annotation, stress and activity rules run. When
 /// `analysis` is given, the caller owns the run's shared analysis and reuses
-/// the bounds it proved (see `preflight_stress` and the dynamic flow's
-/// oracle).
-void preflight_netlist(const netlist::Module& module, const liberty::Library& fresh,
-                       const stress::AnalyzeOptions* stress_options = nullptr,
-                       lint::SubjectAnalysis* analysis = nullptr);
-
-/// What `stress::analyze(module, fresh, options)` returns, taken from the
-/// analysis `preflight_netlist(module, fresh, &options, &analysis)` left.
-/// Proven again only when the pre-flight could not prove it, which then
-/// throws what `stress::analyze` throws.
-stress::StressReport preflight_stress(lint::SubjectAnalysis& analysis,
-                                      const netlist::Module& module,
-                                      const liberty::Library& fresh,
-                                      const stress::AnalyzeOptions& options);
+/// the bounds it proved: `analysis->stress_report(subject)` on the returned
+/// subject, and the dynamic flow's oracle.
+lint::LintSubject preflight_netlist(const netlist::Module& module, const liberty::Library& fresh,
+                                    const stress::AnalyzeOptions* stress_options = nullptr,
+                                    lint::SubjectAnalysis* analysis = nullptr);
 
 /// Library pre-flight, against `fresh` when given: broken tables abort, and
 /// warnings (notably LB006 fallback points from cells whose OPC grid did not

@@ -54,12 +54,12 @@ ProvenGuardbandResult proven_guardband(const netlist::Module& module,
 
   const liberty::Library fresh = fresh_library_stage(run, factory);
   lint::SubjectAnalysis preflight;
-  preflight_netlist(module, fresh, &stress_options, &preflight);
+  const lint::LintSubject linted = preflight_netlist(module, fresh, &stress_options, &preflight);
 
   // 1. Prove per-instance λ bounds — pure interval arithmetic, which the
   // pre-flight's SP rule did already (inline, so also on resumed runs).
   ProvenGuardbandResult result;
-  result.stress = preflight_stress(preflight, module, fresh, stress_options);
+  result.stress = preflight.stress_report(linted);
 
   // 2. Bracket every proven bound with its extreme λ-lattice corners and
   // characterize them once, checkpointed as one merged library.

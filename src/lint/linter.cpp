@@ -42,6 +42,26 @@ Linter Linter::library_linter() {
   return linter;
 }
 
+namespace {
+
+/// The SP rules' input model.
+stress::AnalyzeOptions stress_options(const LintSubject& subject) {
+  return subject.stress != nullptr ? *subject.stress : stress::AnalyzeOptions{};
+}
+
+/// The AC rules' input model.
+stress::ActivityOptions activity_options(const LintSubject& subject) {
+  stress::ActivityOptions options;
+  if (subject.activity != nullptr) {
+    options = *subject.activity;
+  } else if (subject.stress != nullptr) {
+    options.probability = *subject.stress;
+  }
+  return options;
+}
+
+}  // namespace
+
 void SubjectAnalysis::adopt_bounds(const SubjectAnalysis& proven) {
   const std::scoped_lock lock(mutex_, proven.mutex_);
   probability_ = proven.probability_;
@@ -88,20 +108,14 @@ std::shared_ptr<const stress::StressReport> SubjectAnalysis::probability_locked(
 std::shared_ptr<const stress::StressReport> SubjectAnalysis::stress(const LintSubject& subject) {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (!analyzable_locked(subject)) return nullptr;
-  return probability_locked(subject,
-                            subject.stress != nullptr ? *subject.stress : stress::AnalyzeOptions{});
+  return probability_locked(subject, stress_options(subject));
 }
 
 std::shared_ptr<const stress::ActivityReport> SubjectAnalysis::activity(
     const LintSubject& subject) {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (!analyzable_locked(subject)) return nullptr;
-  stress::ActivityOptions options;
-  if (subject.activity != nullptr) {
-    options = *subject.activity;
-  } else if (subject.stress != nullptr) {
-    options.probability = *subject.stress;
-  }
+  stress::ActivityOptions options = activity_options(subject);
   for (const auto& [model_options, report] : activity_) {
     if (model_options == options) return report;
   }
@@ -120,19 +134,25 @@ std::shared_ptr<const stress::ActivityReport> SubjectAnalysis::activity(
   return report;
 }
 
-std::vector<Diagnostic> Linter::run(const LintSubject& subject, bool parallel) const {
+stress::StressReport SubjectAnalysis::stress_report(const LintSubject& subject) {
+  if (const auto proven = stress(subject)) return *proven;
+  return stress::analyze(*subject.module, *subject.library, stress_options(subject));
+}
+
+stress::ActivityReport SubjectAnalysis::activity_report(const LintSubject& subject) {
+  if (const auto proven = activity(subject)) return *proven;
+  return stress::analyze_activity(*subject.module, *subject.library, activity_options(subject));
+}
+
+std::vector<Diagnostic> Linter::run(const LintSubject& subject) const {
   SubjectAnalysis own;
   LintSubject bound = subject;
   if (bound.analysis == nullptr) bound.analysis = &own;
   // One slot per rule: workers never share containers, and concatenating the
   // slots in registration order makes the report thread-count independent.
   std::vector<std::vector<Diagnostic>> slots(rules_.size());
-  const auto body = [&](std::size_t i) { rules_[i]->run(bound, slots[i]); };
-  if (parallel) {
-    util::ThreadPool::shared().parallel_for(rules_.size(), body);
-  } else {
-    for (std::size_t i = 0; i < rules_.size(); ++i) body(i);
-  }
+  util::ThreadPool::shared().parallel_for(rules_.size(),
+                                          [&](std::size_t i) { rules_[i]->run(bound, slots[i]); });
   std::vector<Diagnostic> out;
   for (auto& slot : slots) {
     for (auto& d : slot) out.push_back(std::move(d));

@@ -3,7 +3,7 @@
 /// \file linter.hpp
 /// The rule engine: a `Linter` owns an ordered set of pluggable `Rule`s and
 /// runs them over a `LintSubject` (netlist and/or libraries). Independent
-/// rules execute in parallel on `util::ThreadPool::shared()`; each rule
+/// rules execute concurrently on `util::ThreadPool::shared()`; each rule
 /// writes into its own pre-sized slot and results are concatenated in
 /// registration order, so the report is identical for any thread count.
 ///
@@ -116,6 +116,15 @@ class SubjectAnalysis {
   [[nodiscard]] std::shared_ptr<const stress::ActivityReport> activity(
       const LintSubject& subject);
 
+  /// What `stress::analyze` returns for the subject (which names a module
+  /// and a library) under the SP input model: the shared fixed point when
+  /// there is one, else that call itself, which proves what the NL rules
+  /// refused (an undriven net reads as ⊤) or throws its error. How a flow or
+  /// tool reads the bounds its lint proved.
+  [[nodiscard]] stress::StressReport stress_report(const LintSubject& subject);
+  /// The same for `stress::analyze_activity` under the AC input model.
+  [[nodiscard]] stress::ActivityReport activity_report(const LintSubject& subject);
+
  private:
   bool analyzable_locked(const LintSubject& subject);
   const stress::NetworkModel* model_locked(const LintSubject& subject);
@@ -169,10 +178,9 @@ class Linter {
 
   [[nodiscard]] const std::vector<std::unique_ptr<Rule>>& rules() const { return rules_; }
 
-  /// Runs every rule (in parallel when `parallel`); diagnostics are returned
-  /// in rule-registration order, deterministically.
-  [[nodiscard]] std::vector<Diagnostic> run(const LintSubject& subject,
-                                            bool parallel = true) const;
+  /// Runs every rule concurrently; diagnostics are returned in
+  /// rule-registration order, deterministically.
+  [[nodiscard]] std::vector<Diagnostic> run(const LintSubject& subject) const;
 
  private:
   std::vector<std::unique_ptr<Rule>> rules_;

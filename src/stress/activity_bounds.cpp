@@ -13,7 +13,6 @@
 
 #include "stress/network.hpp"
 #include "stress/stacks.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rw::stress {
 
@@ -341,8 +340,7 @@ ActivityReport analyze_network_activity(const NetworkModel& model,
 
   // -- One levelized density sweep: the probability pass already resolved
   //    the sequential feedback, so combinational densities are a single
-  //    forward pass (deterministic under parallelism — each instance writes
-  //    only its own output slot).
+  //    forward pass in level order.
   auto eval_density = [&](std::size_t i) {
     const netlist::Instance& inst = instances[i];
     const NetworkNode& node = nodes[i];
@@ -378,18 +376,9 @@ ActivityReport analyze_network_activity(const NetworkModel& model,
     report.density[out] = dv;
     report.density_widened[out] = overlap ? 1 : 0;
   };
-  util::ThreadPool& pool = util::ThreadPool::shared();
-  const bool parallel = options.probability.parallel;
   const netlist::Graph& graph = model.graph();
   for (std::size_t l = 0; l < graph.level_count(); ++l) {
-    const auto lv = graph.level(l);
-    if (parallel && lv.size() > 1) {
-      pool.parallel_for(lv.size(), [&](std::size_t idx) {
-        eval_density(static_cast<std::size_t>(lv[idx]));
-      });
-    } else {
-      for (const std::int32_t i : lv) eval_density(static_cast<std::size_t>(i));
-    }
+    for (const std::int32_t i : graph.level(l)) eval_density(static_cast<std::size_t>(i));
   }
 
   // -- Per-instance summaries: pin toggles and the load-weighted switching
@@ -406,7 +395,7 @@ ActivityReport analyze_network_activity(const NetworkModel& model,
     }
   }
   report.instances.assign(n_inst, InstanceActivity{});
-  auto summarize = [&](std::size_t i) {
+  for (std::size_t i = 0; i < n_inst; ++i) {
     const netlist::Instance& inst = instances[i];
     const NetworkNode& node = nodes[i];
     InstanceActivity& ia = report.instances[i];
@@ -429,11 +418,6 @@ ActivityReport analyze_network_activity(const NetworkModel& model,
       ia.switch_cap_ff =
           RealInterval{ia.load_ff * ia.output_toggles.lo, ia.load_ff * ia.output_toggles.hi};
     }
-  };
-  if (parallel && n_inst > 1) {
-    pool.parallel_for(n_inst, [&](std::size_t i) { summarize(i); });
-  } else {
-    for (std::size_t i = 0; i < n_inst; ++i) summarize(i);
   }
 
   // -- HCI proxies, refined through the cell's compiled stage network when
@@ -464,13 +448,8 @@ ActivityReport analyze_network_activity(const NetworkModel& model,
     }
   }
   std::vector<std::optional<RealInterval>> stage_hci(distinct.size());
-  const auto refine = [&](std::size_t d) {
+  for (std::size_t d = 0; d < distinct.size(); ++d) {
     stage_hci[d] = worst_transistor_toggles(*distinct[d].cell, distinct[d].prob, distinct[d].toggles);
-  };
-  if (parallel && distinct.size() > 1) {
-    pool.parallel_for(distinct.size(), refine);
-  } else {
-    for (std::size_t d = 0; d < distinct.size(); ++d) refine(d);
   }
   for (std::size_t i = 0; i < n_inst; ++i) {
     InstanceActivity& ia = report.instances[i];

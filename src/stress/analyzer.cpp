@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "stress/network.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rw::stress {
 
@@ -160,24 +159,15 @@ StressReport analyze_network(const NetworkModel& model, const AnalyzeOptions& op
     report.net_widened[out] = overlap ? 1 : 0;
   };
 
-  // -- Kleene iteration from ⊤: comb sweep (levelized, deterministic under
-  //    parallelism — each instance writes only its own output slot), then the
-  //    flop cut-point update Q ← I(D), intersected with the previous value to
+  // -- Kleene iteration from ⊤: comb sweep in level order, then the flop
+  //    cut-point update Q ← I(D), intersected with the previous value to
   //    keep the sequence monotone under floating-point noise.
-  util::ThreadPool& pool = util::ThreadPool::shared();
   const netlist::Graph& graph = model.graph();
   report.converged = false;
   for (int iter = 1; iter <= options.max_iterations; ++iter) {
     report.iterations = iter;
     for (std::size_t l = 0; l < graph.level_count(); ++l) {
-      const auto lv = graph.level(l);
-      if (options.parallel && lv.size() > 1) {
-        pool.parallel_for(lv.size(), [&](std::size_t idx) {
-          eval_instance(static_cast<std::size_t>(lv[idx]));
-        });
-      } else {
-        for (const std::int32_t i : lv) eval_instance(static_cast<std::size_t>(i));
-      }
+      for (const std::int32_t i : graph.level(l)) eval_instance(static_cast<std::size_t>(i));
     }
     double max_change = 0.0;
     for (std::size_t i = 0; i < n_inst; ++i) {

@@ -63,7 +63,6 @@ struct AnalyzeOptions {
   double clock_probability = 0.5;
   int max_iterations = 64;       ///< cap on sequential fixed-point rounds
   double tolerance = 1e-9;       ///< convergence threshold on flop intervals
-  bool parallel = true;          ///< levelized evaluation on ThreadPool::shared()
 
   [[nodiscard]] bool operator==(const AnalyzeOptions&) const = default;
 };

@@ -53,8 +53,7 @@ class NetworkModel {
   [[nodiscard]] const netlist::Module& module() const { return graph_.module(); }
   /// Index-aligned with `module().instances()`.
   [[nodiscard]] const std::vector<NetworkNode>& nodes() const { return nodes_; }
-  /// The levelized graph; a level's instances write disjoint output slots,
-  /// so a parallel sweep of one level is deterministic.
+  /// The levelized graph: the analyses sweep it in level order.
   [[nodiscard]] const netlist::Graph& graph() const { return graph_; }
 
   /// Source bit of a net (-1 when the net is not a source). Sources are the

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "charlib/factory.hpp"
-#include "circuits/arith.hpp"
 #include "circuits/benchmarks.hpp"
 #include "logicsim/activity.hpp"
 #include "logicsim/simulator.hpp"
@@ -173,45 +172,6 @@ TEST(ActivityAnalyzer, DeclaredQuietInputsSilenceTheirCone) {
   EXPECT_EQ(r.quiet_driven_nets, 2u);
   EXPECT_EQ(r.instances[0].switch_cap_ff.hi, 0.0);
   EXPECT_EQ(r.instances[0].hci.hi, 0.0);
-}
-
-synth::Ir small_datapath() {
-  synth::Ir ir;
-  const auto a = circuits::input_word(ir, "a", 6);
-  const auto b = circuits::input_word(ir, "b", 6);
-  const auto ra = circuits::register_word(ir, a);
-  const auto rb = circuits::register_word(ir, b);
-  const auto sum = circuits::add(ir, ra, rb);
-  circuits::output_word(ir, "s", circuits::register_word(ir, sum));
-  return ir;
-}
-
-netlist::Module mapped_design() {
-  synth::SynthesisOptions opt;
-  opt.multi_start = false;
-  return synth::synthesize(small_datapath(), lib(), "dp", opt).module;
-}
-
-TEST(ActivityAnalyzer, ParallelAndSerialReportsAreBitIdentical) {
-  const netlist::Module m = mapped_design();
-  ActivityOptions par;
-  ActivityOptions ser;
-  ser.probability.parallel = false;
-  const ActivityReport a = analyze_activity(m, lib(), par);
-  const ActivityReport b = analyze_activity(m, lib(), ser);
-  ASSERT_EQ(a.density.size(), b.density.size());
-  for (std::size_t i = 0; i < a.density.size(); ++i) {
-    EXPECT_EQ(a.density[i], b.density[i]) << "net " << i;
-    EXPECT_EQ(a.density_widened[i], b.density_widened[i]) << "net " << i;
-    EXPECT_EQ(a.clock_fed[i], b.clock_fed[i]) << "net " << i;
-  }
-  ASSERT_EQ(a.instances.size(), b.instances.size());
-  for (std::size_t i = 0; i < a.instances.size(); ++i) {
-    EXPECT_EQ(a.instances[i].output_toggles, b.instances[i].output_toggles) << i;
-    EXPECT_EQ(a.instances[i].hci.lo, b.instances[i].hci.lo) << i;
-    EXPECT_EQ(a.instances[i].hci.hi, b.instances[i].hci.hi) << i;
-    EXPECT_EQ(a.instances[i].switch_cap_ff.hi, b.instances[i].switch_cap_ff.hi) << i;
-  }
 }
 
 // -------------------------------------------------------------- soundness --
@@ -404,20 +364,28 @@ TEST(ActivityZeroWidth, DeterministicTogglingInputCollapsesBitwise) {
 
 // ------------------------------------------------------------------- CLI ----
 
-std::string run_cli(const std::string& args, int& exit_code) {
+/// Runs the CLI; stdout and stderr are merged unless `err` is given, which
+/// then receives stderr alone.
+std::string run_cli(const std::string& args, int& exit_code, std::string* err = nullptr) {
   // Per process: the `cli`-labelled ctest entry runs these tests alongside
   // the full binary.
-  const std::string out_path = std::string(::testing::TempDir()) + "rwactivity_out." +
-                               std::to_string(static_cast<long>(::getpid())) + ".txt";
-  const std::string cmd =
-      std::string(RWACTIVITY_BIN) + " " + args + " > " + out_path + " 2>&1";
+  const std::string base = std::string(::testing::TempDir()) + "rwactivity_out." +
+                           std::to_string(static_cast<long>(::getpid()));
+  const std::string out_path = base + ".txt";
+  const std::string err_path = base + ".err";
+  const std::string cmd = std::string(RWACTIVITY_BIN) + " " + args + " > " + out_path +
+                          (err != nullptr ? " 2> " + err_path : " 2>&1");
   const int status = std::system(cmd.c_str());
   exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  std::ifstream in(out_path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  std::remove(out_path.c_str());
-  return ss.str();
+  const auto slurp = [](const std::string& path) {
+    std::ifstream in(path);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    std::remove(path.c_str());
+    return ss.str();
+  };
+  if (err != nullptr) *err = slurp(err_path);
+  return slurp(out_path);
 }
 
 TEST(RwactivityCli, OutputIsThreadCountInvariant) {
@@ -493,6 +461,59 @@ TEST(RwactivityCli, TrailingJunkInAnIntervalIsAUsageError) {
                                   "/examples/fixtures/clean.v",
                                   code);
   EXPECT_EQ(code, 64) << out;
+}
+
+/// A one-gate netlist whose used net n1 has no driver: NL002 keeps the lint's
+/// analysis from running, yet the analysis itself treats n1 as a free input.
+std::string undriven_netlist(const char* tool) {
+  const std::string path = std::string(::testing::TempDir()) + tool + "_undriven." +
+                           std::to_string(static_cast<long>(::getpid())) + ".v";
+  std::ofstream(path) << "module undriven (input a, output y);\n"
+                         "  wire n1;\n"
+                         "  NAND2_X1 u1 (.A(a), .B(n1), .Z(y));\n"
+                         "endmodule\n";
+  return path;
+}
+
+TEST(RwactivityCli, AnalysisRefusalPrintsTheDiagnosticsAndExitsTwo) {
+  int code = -1;
+  std::string err;
+  const std::string out = run_cli("--lib " RW_REPO_DIR "/examples/fixtures/mini.lib " RW_REPO_DIR
+                                  "/tests/fixtures/broken.v",
+                                  code, &err);
+  EXPECT_EQ(code, 2);
+  EXPECT_EQ(out,
+            "error[NL003] broken:net m: driven by multiple instances (u3 and u4) (fix: keep "
+            "exactly one driver per net)\n"
+            "error[NL001] broken:inst u1: combinational cycle: u1 -> u2 -> u1 (fix: break the "
+            "loop with a flop or restructure the logic)\n"
+            "error[AN001] broken:inst u5: duty-cycle index (1.20, 0.50) is outside [0,1]; a "
+            "stress duty cycle is a probability (fix: fix the duty-cycle extraction (or the "
+            "annotation step's quantization))\n");
+  EXPECT_EQ(err, "rwactivity: stress: module 'broken' has multi-driven nets; lint it first\n");
+}
+
+TEST(RwactivityCli, UnanalyzableLintStillPrintsTheReport) {
+  const std::string netlist = undriven_netlist("rwactivity");
+  int code = -1;
+  std::string err;
+  const std::string out =
+      run_cli("--lib " RW_REPO_DIR "/examples/fixtures/mini.lib " + netlist, code, &err);
+  std::remove(netlist.c_str());
+  EXPECT_EQ(code, 2);
+  EXPECT_EQ(out,
+            "module undriven: 3 nets, 1 instances\n"
+            "fixed point: 1 iteration(s), converged; 0 widened net(s), 0 proven-quiet driven "
+            "net(s)\n"
+            "net a: prob [0.0000, 1.0000], density [0.0000, 1.0000]\n"
+            "net y: prob [0.0000, 1.0000], density [0.0000, 1.0000]\n"
+            "net n1: prob [0.0000, 1.0000], density [0.0000, 1.0000]\n"
+            "inst u1 (NAND2_X1): toggles [0.0000, 1.0000], switch_cap_ff [0.000000, 0.000000], "
+            "hci [0.000000, 1.000000]\n"
+            "error[NL002] undriven:net n1: used net has no driver and is not a primary input "
+            "(fix: drive the net or mark it as an input)\n"
+            "rwactivity: 1 error(s), 0 warning(s), 0 info\n");
+  EXPECT_EQ(err, "");
 }
 
 }  // namespace

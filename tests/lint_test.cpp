@@ -26,6 +26,7 @@
 #include "netlist/verilog.hpp"
 #include "util/interp.hpp"
 #include "util/proc_lease.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rw::lint {
 namespace {
@@ -453,8 +454,11 @@ TEST(Linter, ParallelAndSerialRunsAgree) {
   subject.module = &m;
   subject.library = &lib;
   const Linter linter = Linter::all_rules();
-  const auto par = linter.run(subject, /*parallel=*/true);
-  const auto ser = linter.run(subject, /*parallel=*/false);
+  util::set_shared_thread_count(4);
+  const auto par = linter.run(subject);
+  util::set_shared_thread_count(1);
+  const auto ser = linter.run(subject);
+  util::set_shared_thread_count(0);
   ASSERT_EQ(par.size(), ser.size());
   for (std::size_t i = 0; i < par.size(); ++i) {
     EXPECT_EQ(par[i].rule_id, ser[i].rule_id);

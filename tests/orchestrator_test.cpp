@@ -74,13 +74,25 @@ TEST_F(OrchestratorTest, DoublesCodecRoundTripsBitwise) {
   const std::vector<double> values = {
       0.0, -0.0, 1.0 / 3.0, 4.0 * std::atan(1.0), 1e-300, -2.5e300,
       std::numeric_limits<double>::denorm_min(), std::numeric_limits<double>::max(),
-      123.456789012345678, -0.0004999999999999999};
+      123.456789012345678, -0.0004999999999999999,
+      // The reader takes exactly what `%a` writes: signed zeros, a denormal
+      // (glibc prints it as 0x0.…p-1022), the most negative double, the -1
+      // toggle sentinel and the infinities.
+      std::numeric_limits<double>::denorm_min() * 12345.0,
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::lowest(), -1.0, std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity()};
   const std::vector<double> back = flow::artifact::decode_doubles(
       flow::artifact::encode_doubles(values));
   ASSERT_EQ(back.size(), values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
     EXPECT_EQ(std::memcmp(&back[i], &values[i], sizeof(double)), 0) << "index " << i;
   }
+  const std::vector<double> nan =
+      flow::artifact::decode_doubles(flow::artifact::encode_doubles({std::nan(""), -std::nan("")}));
+  ASSERT_EQ(nan.size(), 2u);
+  EXPECT_TRUE(std::isnan(nan[0]) && !std::signbit(nan[0]));
+  EXPECT_TRUE(std::isnan(nan[1]) && std::signbit(nan[1]));
 }
 
 TEST_F(OrchestratorTest, DutiesCodecRoundTripsBitwise) {
@@ -113,6 +125,15 @@ TEST_F(OrchestratorTest, DecodersRejectForeignArtifacts) {
   EXPECT_THROW((void)flow::artifact::decode_duties(flow::artifact::encode_doubles({1.0})),
                std::runtime_error);
   EXPECT_THROW((void)flow::artifact::decode_library("garbage"), std::runtime_error);
+  // A number is exactly one `%a` token: no trailing junk, no decimal, no
+  // second sign, no '+', no spelled-out infinity, no "0x" before inf/nan.
+  for (const char* bad : {"0x1p+0x", "0x1p+0,5", "1.5", "0x-1p+0", "-0x-1p+0", "+0x1p+0", "0x",
+                          "-", "0x1q", "infinity", "-nanx", "0X1p+0", "0xinf", "-0xnan",
+                          "0x+1p+0"}) {
+    EXPECT_THROW((void)flow::artifact::decode_doubles(std::string("rwvec1 1\n") + bad + "\n"),
+                 std::runtime_error)
+        << bad;
+  }
 }
 
 TEST_F(OrchestratorTest, DisabledStageReturnsComputeAndWritesNothing) {

@@ -227,25 +227,6 @@ netlist::Module mapped_design() {
   return synth::synthesize(small_datapath(), lib(), "dp", opt).module;
 }
 
-TEST(Analyzer, ParallelAndSerialReportsAreBitIdentical) {
-  const netlist::Module m = mapped_design();
-  AnalyzeOptions par;
-  AnalyzeOptions ser;
-  ser.parallel = false;
-  const StressReport a = analyze(m, lib(), par);
-  const StressReport b = analyze(m, lib(), ser);
-  ASSERT_EQ(a.net.size(), b.net.size());
-  EXPECT_EQ(a.iterations, b.iterations);
-  for (std::size_t i = 0; i < a.net.size(); ++i) {
-    EXPECT_EQ(a.net[i], b.net[i]) << "net " << i;
-    EXPECT_EQ(a.net_widened[i], b.net_widened[i]) << "net " << i;
-  }
-  for (std::size_t i = 0; i < a.instances.size(); ++i) {
-    EXPECT_EQ(a.instances[i].lambda_n, b.instances[i].lambda_n) << "inst " << i;
-    EXPECT_EQ(a.instances[i].lambda_p, b.instances[i].lambda_p) << "inst " << i;
-  }
-}
-
 // -------------------------------------------------------------- soundness --
 
 /// The acceptance property: on every paper benchmark circuit, for several
@@ -575,19 +556,28 @@ TEST(BoundedStatic, NarrowedInputsCannotWorsenTheGuardband) {
 
 // ------------------------------------------------------------------- CLI ----
 
-std::string run_cli(const std::string& args, int& exit_code) {
+/// Runs the CLI; stdout and stderr are merged unless `err` is given, which
+/// then receives stderr alone.
+std::string run_cli(const std::string& args, int& exit_code, std::string* err = nullptr) {
   // Per process: the `cli`-labelled ctest entry runs these tests alongside
   // the full binary.
-  const std::string out_path = std::string(::testing::TempDir()) + "rwstress_out." +
-                               std::to_string(static_cast<long>(::getpid())) + ".txt";
-  const std::string cmd = std::string(RWSTRESS_BIN) + " " + args + " > " + out_path + " 2>&1";
+  const std::string base = std::string(::testing::TempDir()) + "rwstress_out." +
+                           std::to_string(static_cast<long>(::getpid()));
+  const std::string out_path = base + ".txt";
+  const std::string err_path = base + ".err";
+  const std::string cmd = std::string(RWSTRESS_BIN) + " " + args + " > " + out_path +
+                          (err != nullptr ? " 2> " + err_path : " 2>&1");
   const int status = std::system(cmd.c_str());
   exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  std::ifstream in(out_path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  std::remove(out_path.c_str());
-  return ss.str();
+  const auto slurp = [](const std::string& path) {
+    std::ifstream in(path);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    std::remove(path.c_str());
+    return ss.str();
+  };
+  if (err != nullptr) *err = slurp(err_path);
+  return slurp(out_path);
 }
 
 TEST(RwstressCli, OutputIsThreadCountInvariant) {
@@ -640,6 +630,57 @@ TEST(RwstressCli, TrailingJunkInAnIntervalIsAUsageError) {
                                   "/examples/fixtures/clean.v",
                                   code);
   EXPECT_EQ(code, 64) << out;
+}
+
+/// A one-gate netlist whose used net n1 has no driver: NL002 keeps the lint's
+/// analysis from running, yet the analysis itself treats n1 as a free input.
+std::string undriven_netlist(const char* tool) {
+  const std::string path = std::string(::testing::TempDir()) + tool + "_undriven." +
+                           std::to_string(static_cast<long>(::getpid())) + ".v";
+  std::ofstream(path) << "module undriven (input a, output y);\n"
+                         "  wire n1;\n"
+                         "  NAND2_X1 u1 (.A(a), .B(n1), .Z(y));\n"
+                         "endmodule\n";
+  return path;
+}
+
+TEST(RwstressCli, AnalysisRefusalPrintsTheDiagnosticsAndExitsTwo) {
+  int code = -1;
+  std::string err;
+  const std::string out = run_cli("--lib " RW_REPO_DIR "/examples/fixtures/mini.lib " RW_REPO_DIR
+                                  "/tests/fixtures/broken.v",
+                                  code, &err);
+  EXPECT_EQ(code, 2);
+  EXPECT_EQ(out,
+            "error[NL003] broken:net m: driven by multiple instances (u3 and u4) (fix: keep "
+            "exactly one driver per net)\n"
+            "error[NL001] broken:inst u1: combinational cycle: u1 -> u2 -> u1 (fix: break the "
+            "loop with a flop or restructure the logic)\n"
+            "error[AN001] broken:inst u5: duty-cycle index (1.20, 0.50) is outside [0,1]; a "
+            "stress duty cycle is a probability (fix: fix the duty-cycle extraction (or the "
+            "annotation step's quantization))\n");
+  EXPECT_EQ(err, "rwstress: stress: module 'broken' has multi-driven nets; lint it first\n");
+}
+
+TEST(RwstressCli, UnanalyzableLintStillPrintsTheReport) {
+  const std::string netlist = undriven_netlist("rwstress");
+  int code = -1;
+  std::string err;
+  const std::string out =
+      run_cli("--lib " RW_REPO_DIR "/examples/fixtures/mini.lib " + netlist, code, &err);
+  std::remove(netlist.c_str());
+  EXPECT_EQ(code, 2);
+  EXPECT_EQ(out,
+            "module undriven: 3 nets, 1 instances\n"
+            "fixed point: 1 iteration(s), converged; 0 widened net(s), 0 constant net(s)\n"
+            "net a: [0.0000, 1.0000]\n"
+            "net y: [0.0000, 1.0000]\n"
+            "net n1: [0.0000, 1.0000]\n"
+            "inst u1 (NAND2_X1): lambda_p [0.0000, 1.0000], lambda_n [0.0000, 1.0000]\n"
+            "error[NL002] undriven:net n1: used net has no driver and is not a primary input "
+            "(fix: drive the net or mark it as an input)\n"
+            "rwstress: 1 error(s), 0 warning(s), 0 info\n");
+  EXPECT_EQ(err, "");
 }
 
 }  // namespace

@@ -47,7 +47,7 @@ void print_usage(std::ostream& os) {
         "  --threshold X      AC003 hotspot threshold, toggles/cycle (default 1)\n"
         "  --iterations N     cap on sequential fixed-point rounds (default 64)\n"
         "  --format FMT       output format: text (default) or json\n"
-        "  --threads N        worker threads for the levelized evaluation\n"
+        "  --threads N        worker threads for parallel rule execution\n"
         "  -h, --help         this message\n"
         "exit codes: 0 clean/info, 1 warnings, 2 errors, 64 usage error\n";
 }
@@ -220,19 +220,21 @@ int main(int argc, char** argv) {
   }
 
   // Full netlist lint (structural + SP + AC rules) with the declared input
-  // model; the analysis below needs a structurally sound module, so errors
-  // end the run with the diagnostics as the report.
+  // model; the report reads the bounds the AC rules proved. A module the
+  // analysis refuses ends the run with the diagnostics as the report.
   rw::lint::LintSubject subject;
   subject.module = &module;
   subject.library = &pool;
   subject.stress = &args.options.probability;
   subject.activity = &args.options;
   subject.activity_hotspot_threshold = args.threshold;
+  rw::lint::SubjectAnalysis analysis;
+  subject.analysis = &analysis;
   const auto diagnostics = rw::lint::Linter::netlist_linter().run(subject);
 
   rw::stress::ActivityReport activity;
   try {
-    activity = rw::stress::analyze_activity(module, pool, args.options);
+    activity = analysis.activity_report(subject);
   } catch (const std::exception& e) {
     std::cout << rw::lint::format_report(diagnostics);
     std::cerr << "rwactivity: " << e.what() << "\n";

@@ -240,6 +240,8 @@ int main(int argc, char** argv) {
   subject.library = &fresh;
   subject.stress = &args.stress;
   subject.lambda_step = args.lambda_step;
+  rw::lint::SubjectAnalysis analysis;
+  subject.analysis = &analysis;
   std::vector<rw::lint::Diagnostic> diagnostics =
       rw::lint::Linter::netlist_linter().run(subject);
   if (rw::lint::worst_severity(diagnostics) >= rw::lint::Severity::kError) {
@@ -248,7 +250,7 @@ int main(int argc, char** argv) {
   }
 
   try {
-    const rw::stress::StressReport stress = rw::stress::analyze(module, fresh, args.stress);
+    const rw::stress::StressReport stress = analysis.stress_report(subject);
     const std::vector<rw::charlib::InstanceCorners> corners = rw::charlib::corners_from_library(
         module, stress, corners_pool, fresh, args.lambda_step);
     const rw::sta::IntervalSta ista(module, fresh, corners);

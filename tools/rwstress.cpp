@@ -41,7 +41,7 @@ void print_usage(std::ostream& os) {
         "  --clock P         duty cycle assumed on clock pins (default 0.5)\n"
         "  --iterations N    cap on sequential fixed-point rounds (default 64)\n"
         "  --format FMT      output format: text (default) or json\n"
-        "  --threads N       worker threads for the levelized evaluation\n"
+        "  --threads N       worker threads for parallel rule execution\n"
         "  -h, --help        this message\n"
         "exit codes: 0 clean/info, 1 warnings, 2 errors, 64 usage error\n";
 }
@@ -176,17 +176,20 @@ int main(int argc, char** argv) {
   }
 
   // Full netlist lint (structural + annotation + SP cross-checks) with the
-  // declared input model; the analysis below needs a structurally sound
-  // module, so errors end the run with the diagnostics as the report.
+  // declared input model; the report reads the bounds the SP rules proved.
+  // A module the analysis refuses ends the run with the diagnostics as the
+  // report.
   rw::lint::LintSubject subject;
   subject.module = &module;
   subject.library = &pool;
   subject.stress = &args.options;
+  rw::lint::SubjectAnalysis analysis;
+  subject.analysis = &analysis;
   const auto diagnostics = rw::lint::Linter::netlist_linter().run(subject);
 
   rw::stress::StressReport stress;
   try {
-    stress = rw::stress::analyze(module, pool, args.options);
+    stress = analysis.stress_report(subject);
   } catch (const std::exception& e) {
     std::cout << rw::lint::format_report(diagnostics);
     std::cerr << "rwstress: " << e.what() << "\n";
