@@ -1,6 +1,6 @@
 /// Performance micro-benchmarks (google-benchmark) for the heavy engines:
 /// the transient circuit solver (cell characterization cost), full-design
-/// STA, the netlist pre-flight lint and its activity analysis, the
+/// STA, the netlist and library pre-flight lints, the activity analysis, the
 /// technology mapper, the Liberty reader and the gate-level simulators.
 /// These back the design choices called out in DESIGN.md (smooth device
 /// model, lazy characterization, batched sizing, parallel characterization,
@@ -137,6 +137,20 @@ void BM_NetlistPreflight(benchmark::State& state) {
                           static_cast<std::int64_t>(m.instances().size()));
 }
 BENCHMARK(BM_NetlistPreflight)->Unit(benchmark::kMillisecond);
+
+void BM_LibraryPreflight(benchmark::State& state) {
+  // What flows run on a library before timing with it: the library rules,
+  // aged-vs-fresh checks included (here the fresh library is its own
+  // baseline).
+  const lint::Linter linter = lint::Linter::library_linter();
+  lint::LintSubject subject;
+  subject.library = &fresh();
+  subject.fresh = &fresh();
+  for (auto _ : state) benchmark::DoNotOptimize(linter.run(subject));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(fresh().cells().size()));
+}
+BENCHMARK(BM_LibraryPreflight)->Unit(benchmark::kMillisecond);
 
 void BM_AnalyzeActivity(benchmark::State& state) {
   const auto& m = dsp_module();

@@ -14,9 +14,6 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-check}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 RWLINT="$BUILD_DIR/tools/rwlint"
-RWSTRESS="$BUILD_DIR/tools/rwstress"
-RWACTIVITY="$BUILD_DIR/tools/rwactivity"
-RWPROVE="$BUILD_DIR/tools/rwprove"
 PERF_MICRO="$BUILD_DIR/bench/perf_micro"
 FAILED=()
 
@@ -65,17 +62,6 @@ lint_broken() {
   echo "rwlint rejected broken.v as expected"
 }
 
-# thread_invariance NAME TOOL ARGS...: TOOL's output at 1 and $JOBS threads
-# must be byte-identical.
-thread_invariance() {
-  local name="$1" tool="$2"
-  shift 2
-  "$tool" --threads 1 "$@" > "$BUILD_DIR/$name.1t.out"
-  "$tool" --threads "$JOBS" "$@" > "$BUILD_DIR/$name.nt.out"
-  diff "$BUILD_DIR/$name.1t.out" "$BUILD_DIR/$name.nt.out"
-  echo "$name output bitwise identical at 1 vs $JOBS threads"
-}
-
 # The flattened (scenario × cell × arc × OPC) scheduler plus the
 # structure-reusing solver: an N-thread library characterization must beat
 # 1 thread by >1.5x. Only demonstrable with >=2 cores; single-core runners
@@ -114,17 +100,17 @@ asan_json() {
 }
 
 # The fault-injection paths (injector arming, in-flight dedup failure
-# propagation, manifest writes), the lint rules that run concurrently and
-# share one stress/activity analysis behind its mutex, and the cancellation
-# polls (token + watchdog + cv waiters) are concurrency surfaces; run them
-# in a dedicated TSan tree alongside the plain-build run above.
+# propagation, manifest writes) and the cancellation polls (token + watchdog
+# + cv waiters) are concurrency surfaces; run them in a dedicated TSan tree
+# alongside the plain-build run above. The lint and the stress/activity
+# analyses are serial, so the TSan tree builds neither lint_test nor rwlint.
 TSAN_DIR="${BUILD_DIR}-tsan"
 tsan_build() {
   cmake -B "$TSAN_DIR" -S . -DRW_SANITIZE=thread
   cmake --build "$TSAN_DIR" -j "$JOBS" --target \
     resilience_test thread_pool_test stress_test activity_test prove_test \
-    lint_test cancel_test orchestrator_test flow_resume_test rwchaos rwprove \
-    rwactivity rwlint perf_smoke_test adaptive_grid_test serve_test
+    cancel_test orchestrator_test flow_resume_test rwchaos rwprove \
+    rwactivity perf_smoke_test adaptive_grid_test serve_test
 }
 
 # A FAILING gate, not advisory: lint_cxx passes --warnings-as-errors=* so any
@@ -154,15 +140,6 @@ step "configure + build (-Werror)" build
 step "tests" ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 step "rwlint: example fixtures must be clean" lint_fixtures
 step "rwlint: seeded-broken fixture must fail" lint_broken
-step "rwstress: clean fixture must be deterministic across thread counts" \
-  thread_invariance rwstress "$RWSTRESS" \
-  --lib examples/fixtures/mini.lib examples/fixtures/clean.v
-step "rwactivity: proven toggle bounds must be deterministic across thread counts" \
-  thread_invariance rwactivity "$RWACTIVITY" \
-  --lib examples/fixtures/mini.lib examples/fixtures/clean.v
-step "rwprove: certified bounds must be deterministic across thread counts" \
-  thread_invariance rwprove "$RWPROVE" --fresh examples/fixtures/mini.lib \
-  --lib examples/fixtures/proven.lib examples/fixtures/clean.v
 step "perf smoke: flattened characterization must scale across threads" perf_smoke
 
 # Crash-only contract drill: every seeded trial (solver faults, deadlines,
@@ -196,13 +173,13 @@ step "prove: certified interval-STA suite in the plain tree" \
 
 # The toggle-rate soundness contract (simulated rates inside the proven
 # density intervals on every paper circuit, zero-width collapse to
-# simulator-exact rates, CLI thread invariance + AC verdicts). Re-run
+# simulator-exact rates, AC verdicts). Re-run
 # explicitly so a filtered ctest invocation cannot drop the gate.
 step "activity: switching-activity bounds suite in the plain tree" \
   ctest --test-dir "$BUILD_DIR" -L activity --output-on-failure -j "$JOBS"
 
 # Every tool's usage-error contract (trailing junk or a comma decimal in a
-# number, a bad --threads, malformed rwclient corners, rwserved --gc and
+# number, an unknown flag, malformed rwclient corners, rwserved --gc and
 # rwchaos refusing before they touch a cache or trial directory). Re-run
 # explicitly so a filtered ctest invocation cannot drop the gate.
 step "cli: malformed command lines exit 64 before any work" \
@@ -211,10 +188,9 @@ step "cli: malformed command lines exit 64 before any work" \
 step "JSON codec + line reader under AddressSanitizer" asan_json
 if [[ "${RW_SKIP_TSAN:-0}" != "1" ]]; then
   step "ThreadSanitizer: build" tsan_build
-  for label in resilience stress lint activity prove chaos serve perf; do
-    # The lint label runs the SP and AC rules concurrently over one shared
-    # analysis (one builder, the others wait on its mutex); activity_test
-    # also drives the rwactivity CLI's thread-invariance contract. The serve
+  for label in resilience stress activity prove chaos serve perf; do
+    # The stress, activity and prove suites drive flows whose library
+    # characterization runs on the shared pool. The serve
     # label (daemon supervisor, socketpair worker protocol, client retry
     # loop) forks real daemons; TSan watches the pre-fork pool shrink and
     # the supervisor's reap/redeliver bookkeeping. The perf label covers the

@@ -26,10 +26,9 @@ class ActivityRule final : public Rule {
     return "measured and proven switching activity agree; quiet nets and hotspots reported";
   }
   void run(const LintSubject& subject, std::vector<Diagnostic>& out) const override {
-    SubjectAnalysis own;
-    SubjectAnalysis& analysis = subject.analysis != nullptr ? *subject.analysis : own;
     // Null for structural problems: those are other rules' findings.
-    const std::shared_ptr<const stress::ActivityReport> proven = analysis.activity(subject);
+    const std::shared_ptr<const stress::ActivityReport> proven =
+        subject.analysis->activity(subject);
     if (proven == nullptr) return;
     const stress::ActivityReport& report = *proven;
     const netlist::Module& m = *subject.module;

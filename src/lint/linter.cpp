@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "lint/rules.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rw::lint {
 
@@ -60,25 +59,42 @@ stress::ActivityOptions activity_options(const LintSubject& subject) {
   return options;
 }
 
+/// Every instance resolves to a library cell of matching arity whose λ
+/// index, if any, lies in [0,1].
+bool instances_resolve(const LintSubject& subject) {
+  for (const auto& inst : subject.module->instances()) {
+    const ResolvedCell r = resolve_cell(*subject.library, inst.cell, IndexRange::kAny);
+    if (r.cell == nullptr) return false;
+    if (inst.fanin.size() != static_cast<std::size_t>(r.cell->n_inputs())) return false;
+    if (r.indexed && (r.lambda_p < 0.0 || r.lambda_p > 1.0 || r.lambda_n < 0.0 ||
+                      r.lambda_n > 1.0)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 void SubjectAnalysis::adopt_bounds(const SubjectAnalysis& proven) {
-  const std::scoped_lock lock(mutex_, proven.mutex_);
   probability_ = proven.probability_;
   activity_ = proven.activity_;
 }
 
-bool SubjectAnalysis::analyzable(const LintSubject& subject) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return analyzable_locked(subject);
+const std::vector<Diagnostic>& SubjectAnalysis::check(const LintSubject& subject) {
+  if (!check_) check_ = subject.module->check();
+  return *check_;
 }
 
-bool SubjectAnalysis::analyzable_locked(const LintSubject& subject) {
-  if (!analyzable_) analyzable_ = lint::analyzable(subject);
+bool SubjectAnalysis::analyzable(const LintSubject& subject) {
+  if (!analyzable_) {
+    analyzable_ = subject.module != nullptr && subject.library != nullptr &&
+                  check(subject).empty() && instances_resolve(subject);
+  }
   return *analyzable_;
 }
 
-const stress::NetworkModel* SubjectAnalysis::model_locked(const LintSubject& subject) {
+const stress::NetworkModel* SubjectAnalysis::model(const LintSubject& subject) {
   if (!model_ && !model_refused_) {
     try {
       model_.emplace(stress::NetworkModel::build(*subject.module, *subject.library));
@@ -89,15 +105,16 @@ const stress::NetworkModel* SubjectAnalysis::model_locked(const LintSubject& sub
   return model_ ? &*model_ : nullptr;
 }
 
-std::shared_ptr<const stress::StressReport> SubjectAnalysis::probability_locked(
+std::shared_ptr<const stress::StressReport> SubjectAnalysis::probability(
     const LintSubject& subject, const stress::AnalyzeOptions& options) {
   for (const auto& [model_options, report] : probability_) {
     if (model_options == options) return report;
   }
   std::shared_ptr<const stress::StressReport> report;
-  if (const stress::NetworkModel* model = model_locked(subject)) {
+  if (const stress::NetworkModel* network = model(subject)) {
     try {
-      report = std::make_shared<const stress::StressReport>(stress::analyze_network(*model, options));
+      report =
+          std::make_shared<const stress::StressReport>(stress::analyze_network(*network, options));
     } catch (const std::exception&) {
     }
   }
@@ -106,27 +123,25 @@ std::shared_ptr<const stress::StressReport> SubjectAnalysis::probability_locked(
 }
 
 std::shared_ptr<const stress::StressReport> SubjectAnalysis::stress(const LintSubject& subject) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (!analyzable_locked(subject)) return nullptr;
-  return probability_locked(subject, stress_options(subject));
+  if (!analyzable(subject)) return nullptr;
+  return probability(subject, stress_options(subject));
 }
 
 std::shared_ptr<const stress::ActivityReport> SubjectAnalysis::activity(
     const LintSubject& subject) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (!analyzable_locked(subject)) return nullptr;
+  if (!analyzable(subject)) return nullptr;
   stress::ActivityOptions options = activity_options(subject);
   for (const auto& [model_options, report] : activity_) {
     if (model_options == options) return report;
   }
-  const std::shared_ptr<const stress::StressReport> probability =
-      probability_locked(subject, options.probability);
-  const stress::NetworkModel* model = probability != nullptr ? model_locked(subject) : nullptr;
+  const std::shared_ptr<const stress::StressReport> fixed_point =
+      probability(subject, options.probability);
+  const stress::NetworkModel* network = fixed_point != nullptr ? model(subject) : nullptr;
   std::shared_ptr<const stress::ActivityReport> report;
-  if (model != nullptr) {
+  if (network != nullptr) {
     try {
       report = std::make_shared<const stress::ActivityReport>(
-          stress::analyze_network_activity(*model, options, *probability));
+          stress::analyze_network_activity(*network, options, *fixed_point));
     } catch (const std::exception&) {
     }
   }
@@ -148,15 +163,8 @@ std::vector<Diagnostic> Linter::run(const LintSubject& subject) const {
   SubjectAnalysis own;
   LintSubject bound = subject;
   if (bound.analysis == nullptr) bound.analysis = &own;
-  // One slot per rule: workers never share containers, and concatenating the
-  // slots in registration order makes the report thread-count independent.
-  std::vector<std::vector<Diagnostic>> slots(rules_.size());
-  util::ThreadPool::shared().parallel_for(rules_.size(),
-                                          [&](std::size_t i) { rules_[i]->run(bound, slots[i]); });
   std::vector<Diagnostic> out;
-  for (auto& slot : slots) {
-    for (auto& d : slot) out.push_back(std::move(d));
-  }
+  for (const auto& rule : rules_) rule->run(bound, out);
   return out;
 }
 

@@ -2,17 +2,15 @@
 
 /// \file linter.hpp
 /// The rule engine: a `Linter` owns an ordered set of pluggable `Rule`s and
-/// runs them over a `LintSubject` (netlist and/or libraries). Independent
-/// rules execute concurrently on `util::ThreadPool::shared()`; each rule
-/// writes into its own pre-sized slot and results are concatenated in
-/// registration order, so the report is identical for any thread count.
+/// runs them over a `LintSubject` (netlist and/or libraries), one after the
+/// other on the calling thread, so the report lists findings in rule
+/// registration order.
 ///
 /// `lint_or_throw` is the flow pre-flight hook: it refuses bad inputs with a
 /// `LintError` carrying the full diagnostic list instead of letting them die
 /// deep inside STA or characterization.
 
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -75,18 +73,17 @@ struct LintSubject {
   /// Characterization disk-cache root for the SV (serve-hygiene) rules;
   /// empty keeps them silent.
   std::string cache_dir;
-  /// The stress/activity analysis the SP and AC rules share. Null: each
-  /// `Linter::run` makes its own. Set: the caller owns it, and it keeps what
-  /// the run proved for the caller to reuse.
+  /// What the rules share: the structural check and the stress/activity
+  /// analysis. Null: each `Linter::run` makes its own. Set: the caller owns
+  /// it, and it keeps what the run proved for the caller to reuse.
   SubjectAnalysis* analysis = nullptr;
 };
 
-/// What the SP and AC rules of one lint run share: one `analyzable()`
-/// verdict, one `stress::NetworkModel` and one probability fixed point per
-/// input model, each built on first use. The AC rule reuses the SP rule's
-/// fixed point whenever their input models agree, which they do unless the
-/// subject declares an `activity` model of its own. Rules run concurrently;
-/// one builds a part while the others wait for it.
+/// What the rules of one lint run share: one `Module::check()` result, one
+/// `analyzable()` verdict, one `stress::NetworkModel` and one probability
+/// fixed point per input model, each built on first use. The AC rule reuses
+/// the SP rule's fixed point whenever their input models agree, which they
+/// do unless the subject declares an `activity` model of its own.
 ///
 /// An analysis serves one subject: every call passes the same module,
 /// library and input models, and the module and library must outlive it.
@@ -104,7 +101,13 @@ class SubjectAnalysis {
   /// under another input model than the subject's is still proven afresh.
   void adopt_bounds(const SubjectAnalysis& proven);
 
-  /// `analyzable(subject)` (rules.hpp), decided once.
+  /// The subject module's `Module::check()` findings (NL002/NL003/NL006),
+  /// collected once. The subject must name a module.
+  [[nodiscard]] const std::vector<Diagnostic>& check(const LintSubject& subject);
+  /// True when the stress and activity analyses can run soundly on the
+  /// subject: it has a module and a library, `check()` is clean, and every
+  /// instance resolves to a cell of matching arity with a λ index (if any)
+  /// in [0,1]. Otherwise the NL/AN rules own the findings. Decided once.
   [[nodiscard]] bool analyzable(const LintSubject& subject);
   /// The probability fixed point under the SP input model (`subject.stress`,
   /// else the default); null when the subject is not analyzable or the
@@ -126,12 +129,11 @@ class SubjectAnalysis {
   [[nodiscard]] stress::ActivityReport activity_report(const LintSubject& subject);
 
  private:
-  bool analyzable_locked(const LintSubject& subject);
-  const stress::NetworkModel* model_locked(const LintSubject& subject);
-  std::shared_ptr<const stress::StressReport> probability_locked(
-      const LintSubject& subject, const stress::AnalyzeOptions& options);
+  const stress::NetworkModel* model(const LintSubject& subject);
+  std::shared_ptr<const stress::StressReport> probability(const LintSubject& subject,
+                                                          const stress::AnalyzeOptions& options);
 
-  mutable std::mutex mutex_;
+  std::optional<std::vector<Diagnostic>> check_;
   std::optional<bool> analyzable_;
   std::optional<stress::NetworkModel> model_;
   bool model_refused_ = false;
@@ -142,8 +144,8 @@ class SubjectAnalysis {
       activity_;
 };
 
-/// One design rule. Implementations must be state-free (`run` is const and
-/// may be invoked concurrently with other rules).
+/// One design rule. Implementations are state-free (`run` is const); what
+/// rules share lives in `subject.analysis`, which `Linter::run` always sets.
 class Rule {
  public:
   virtual ~Rule() = default;
@@ -178,8 +180,8 @@ class Linter {
 
   [[nodiscard]] const std::vector<std::unique_ptr<Rule>>& rules() const { return rules_; }
 
-  /// Runs every rule concurrently; diagnostics are returned in
-  /// rule-registration order, deterministically.
+  /// Runs every rule in registration order on the calling thread; the
+  /// diagnostics come back in that order.
   [[nodiscard]] std::vector<Diagnostic> run(const LintSubject& subject) const;
 
  private:

@@ -23,22 +23,6 @@ bool library_has_variant(const liberty::Library& library, const std::string& bas
   return false;
 }
 
-bool analyzable(const LintSubject& subject) {
-  if (subject.module == nullptr || subject.library == nullptr) return false;
-  const netlist::Module& m = *subject.module;
-  if (!m.check().empty()) return false;
-  for (const auto& inst : m.instances()) {
-    const ResolvedCell r = resolve_cell(*subject.library, inst.cell, IndexRange::kAny);
-    if (r.cell == nullptr) return false;
-    if (inst.fanin.size() != static_cast<std::size_t>(r.cell->n_inputs())) return false;
-    if (r.indexed && (r.lambda_p < 0.0 || r.lambda_p > 1.0 || r.lambda_n < 0.0 ||
-                      r.lambda_n > 1.0)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 namespace {
 
 std::string inst_loc(const netlist::Module& module, std::size_t index) {
@@ -47,7 +31,8 @@ std::string inst_loc(const netlist::Module& module, std::size_t index) {
 
 /// NL002 / NL003 / NL006(no output): the structural invariants collected by
 /// `Module::check()` — one driver per net, no driven primary inputs, every
-/// instance output connected.
+/// instance output connected. The run's `SubjectAnalysis` holds the one
+/// check that the analyzable guard reads too.
 class StructureRule final : public Rule {
  public:
   [[nodiscard]] std::string_view id() const override { return "netlist.structure"; }
@@ -56,7 +41,8 @@ class StructureRule final : public Rule {
   }
   void run(const LintSubject& subject, std::vector<Diagnostic>& out) const override {
     if (subject.module == nullptr) return;
-    for (auto& d : subject.module->check()) out.push_back(std::move(d));
+    const std::vector<Diagnostic>& found = subject.analysis->check(subject);
+    out.insert(out.end(), found.begin(), found.end());
   }
 };
 

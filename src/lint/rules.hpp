@@ -22,10 +22,4 @@ using liberty::ResolvedCell;
 /// λ-indexed `base_*` variant (merged libraries carry only the latter).
 bool library_has_variant(const liberty::Library& library, const std::string& base);
 
-/// True when the stress and activity analyses can run soundly on the
-/// subject: it has a module and a library, `Module::check()` is clean, and
-/// every instance resolves to a cell of matching arity with a λ index (if
-/// any) in [0,1]. Otherwise the NL/AN rules own the findings.
-bool analyzable(const LintSubject& subject);
-
 }  // namespace rw::lint

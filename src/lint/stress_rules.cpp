@@ -28,10 +28,8 @@ class StressRule final : public Rule {
     return "annotations and net activity respect statically proven duty-cycle bounds";
   }
   void run(const LintSubject& subject, std::vector<Diagnostic>& out) const override {
-    SubjectAnalysis own;
-    SubjectAnalysis& analysis = subject.analysis != nullptr ? *subject.analysis : own;
     // Null for structural problems: those are other rules' findings.
-    const std::shared_ptr<const stress::StressReport> proven = analysis.stress(subject);
+    const std::shared_ptr<const stress::StressReport> proven = subject.analysis->stress(subject);
     if (proven == nullptr) return;
     const stress::StressReport& report = *proven;
     const netlist::Module& m = *subject.module;

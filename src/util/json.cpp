@@ -1,7 +1,8 @@
 #include "util/json.hpp"
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <system_error>
 
 namespace rw::util::json {
 
@@ -99,11 +100,11 @@ bool Reader::string(std::string& out) {
 
 bool Reader::number(double& out) {
   ws();
-  const char* start = s_.c_str() + i_;
-  char* end = nullptr;
-  out = std::strtod(start, &end);
-  if (end == start) return false;
-  i_ += static_cast<std::size_t>(end - start);
+  const char* start = s_.data() + i_;
+  const auto [stop, ec] =
+      std::from_chars(start, s_.data() + s_.size(), out, std::chars_format::general);
+  if (ec != std::errc{}) return false;
+  i_ += static_cast<std::size_t>(stop - start);
   return true;
 }
 

@@ -14,7 +14,8 @@
 ///    exhaust the stack.
 ///  * Numbers: `format_double` writes `%.17g`, which round-trips every
 ///    double bit-exactly (including the `nan`/`inf` it prints), and
-///    `number` reads with `strtod`. Counts and offsets use `integer`, which
+///    `number` reads with `std::from_chars` (locale-independent; no '+', no
+///    hex, nothing out of range). Counts and offsets use `integer`, which
 ///    accepts only an exact non-negative integer that fits its type.
 ///
 /// Writers build their text directly (with `util::append_json_string` and
@@ -37,8 +38,8 @@ inline constexpr int kMaxDepth = 64;
 /// %.17g — doubles survive a write/read round trip bit-exactly.
 std::string format_double(double value);
 
-/// Cursor over one document. `text` must outlive the reader (numbers are
-/// read in place with strtod, which needs the terminating NUL).
+/// Cursor over one document. `text` must outlive the reader (it is read in
+/// place).
 class Reader {
  public:
   explicit Reader(const std::string& text) : s_(text) {}

@@ -5,10 +5,12 @@
 /// toolchain — a command-line flag value, an `RW_*` environment knob, the
 /// λ indices of a `<base>_<λp>_<λn>` cell name — goes through
 /// `parse_number`, so "0.5x", "12,5", " 4" and "inf" are rejected the same
-/// way everywhere instead of being read as a prefix.
+/// way everywhere instead of being read as a prefix. A command line that
+/// fails it ends in `usage_exit`.
 
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <string_view>
 #include <system_error>
@@ -41,6 +43,18 @@ T env_number(const char* name, T fallback) {
   const char* env = std::getenv(name);
   T v = fallback;
   return env != nullptr && parse_number(env, v) ? v : fallback;
+}
+
+/// sysexits.h EX_USAGE: the exit code of every malformed command line.
+inline constexpr int kExitUsage = 64;
+
+/// Prints "<program's basename>: <message>" to stderr and exits with
+/// `kExitUsage`.
+[[noreturn]] inline void usage_exit(std::string_view program, std::string_view message) {
+  program.remove_prefix(program.rfind('/') + 1);
+  std::fprintf(stderr, "%.*s: %.*s\n", static_cast<int>(program.size()), program.data(),
+               static_cast<int>(message.size()), message.data());
+  std::exit(kExitUsage);
 }
 
 }  // namespace rw::util

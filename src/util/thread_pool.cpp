@@ -4,13 +4,10 @@
 #include "util/number.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <iostream>
 #include <limits>
 #include <memory>
-#include <string>
 
 namespace rw::util {
 
@@ -203,12 +200,6 @@ std::size_t consume_thread_flag(int& argc, char** argv) {
   argc = out;
   if (requested > 0) set_shared_thread_count(requested);
   return requested;
-}
-
-void usage_exit(const char* program, const std::string& message) {
-  const std::string_view path = program;
-  std::cerr << path.substr(path.rfind('/') + 1) << ": " << message << "\n";
-  std::exit(kExitUsage);
 }
 
 }  // namespace rw::util

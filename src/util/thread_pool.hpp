@@ -22,7 +22,6 @@
 #include <deque>
 #include <functional>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -82,12 +81,5 @@ void set_shared_thread_count(std::size_t n);
 /// (0 when the flag is absent). N must be a positive whole number
 /// (`parse_number`); anything else is a usage error (`usage_exit`).
 std::size_t consume_thread_flag(int& argc, char** argv);
-
-/// sysexits.h EX_USAGE: the exit code of every malformed command line.
-inline constexpr int kExitUsage = 64;
-
-/// Prints "<program's basename>: <message>" to stderr and exits with
-/// `kExitUsage`.
-[[noreturn]] void usage_exit(const char* program, const std::string& message);
 
 }  // namespace rw::util

@@ -3,6 +3,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -11,6 +13,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "charlib/factory.hpp"
@@ -439,31 +442,49 @@ TEST(Diagnostics, FormatAndSeverityHelpers) {
   EXPECT_EQ(worst_severity({}), Severity::kInfo);
 }
 
-TEST(Linter, ParallelAndSerialRunsAgree) {
-  const liberty::Library lib = small_lib();
-  netlist::Module m("cyc");
-  const auto a = m.add_net("a");
-  m.mark_input(a);
-  const auto n1 = m.add_net("n1");
-  const auto n2 = m.add_net("n2");
-  m.add_instance("g1", "NAND2_X1", {n2, a}, n1);
-  m.add_instance_lenient("g2", "INV_X1", {n1}, n2);
-  m.add_instance_lenient("g3", "INV_X1", {n1}, n2);  // multi-driver on top of the cycle
-  m.mark_output(n2);
-  LintSubject subject;
-  subject.module = &m;
-  subject.library = &lib;
-  const Linter linter = Linter::all_rules();
+/// Records the thread it ran on and its place in the run's sequence.
+class RecordingRule final : public Rule {
+ public:
+  struct Trace {
+    std::thread::id thread;
+    int order = -1;
+  };
+  RecordingRule(std::string id, std::atomic<int>& next, Trace& trace)
+      : id_(std::move(id)), next_(next), trace_(trace) {}
+  [[nodiscard]] std::string_view id() const override { return id_; }
+  [[nodiscard]] std::string_view description() const override { return "records its run"; }
+  void run(const LintSubject&, std::vector<Diagnostic>& out) const override {
+    // Long enough that a pool worker would pick up the next rule meanwhile.
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    trace_.thread = std::this_thread::get_id();
+    trace_.order = next_++;
+    out.push_back(Diagnostic{id_, Severity::kInfo, "", "ran", ""});
+  }
+
+ private:
+  std::string id_;
+  std::atomic<int>& next_;
+  Trace& trace_;
+};
+
+TEST(Linter, RulesRunOnTheCallingThreadInRegistrationOrder) {
+  constexpr int kRules = 8;
+  std::atomic<int> next{0};
+  std::vector<RecordingRule::Trace> traces(kRules);
+  Linter linter;
+  for (int i = 0; i < kRules; ++i) {
+    linter.add_rule(std::make_unique<RecordingRule>("R" + std::to_string(i), next,
+                                                    traces[static_cast<std::size_t>(i)]));
+  }
   util::set_shared_thread_count(4);
-  const auto par = linter.run(subject);
-  util::set_shared_thread_count(1);
-  const auto ser = linter.run(subject);
+  const std::vector<Diagnostic> out = linter.run(LintSubject{});
   util::set_shared_thread_count(0);
-  ASSERT_EQ(par.size(), ser.size());
-  for (std::size_t i = 0; i < par.size(); ++i) {
-    EXPECT_EQ(par[i].rule_id, ser[i].rule_id);
-    EXPECT_EQ(par[i].location, ser[i].location);
-    EXPECT_EQ(par[i].message, ser[i].message);
+  ASSERT_EQ(out.size(), static_cast<std::size_t>(kRules));
+  for (int i = 0; i < kRules; ++i) {
+    const RecordingRule::Trace& trace = traces[static_cast<std::size_t>(i)];
+    EXPECT_EQ(trace.thread, std::this_thread::get_id()) << "rule " << i;
+    EXPECT_EQ(trace.order, i) << "rule " << i;
+    EXPECT_EQ(out[static_cast<std::size_t>(i)].rule_id, "R" + std::to_string(i));
   }
 }
 
@@ -802,13 +823,10 @@ TEST(RwlintCli, UsageErrorsExit64) {
   EXPECT_EQ(exit_code, 64);
   const std::string fixture = "--lib " RW_REPO_DIR "/examples/fixtures/mini.lib " RW_REPO_DIR
                               "/examples/fixtures/clean.v";
-  // Every numeric flag reads its whole value: trailing junk or a comma
-  // decimal is a usage error before any work, not a silently used prefix.
-  for (const char* flag : {"--threads 4x", "--threads abc", "--threads 0", "--threads=4x"}) {
-    const std::string out = run_cli(std::string(flag) + " " + fixture, exit_code);
-    EXPECT_EQ(exit_code, 64) << flag << ": " << out;
-    EXPECT_EQ(out.find("error(s)"), std::string::npos) << flag << ": " << out;
-  }
+  // The lint runs serially: --threads is an unknown flag, refused before any work.
+  const std::string out = run_cli("--threads 4 " + fixture, exit_code);
+  EXPECT_EQ(exit_code, 64) << out;
+  EXPECT_EQ(out.find("error(s)"), std::string::npos) << out;
 }
 
 TEST(RwlintCli, JunkLibraryNumbersAreIo001) {

@@ -580,20 +580,6 @@ std::string run_cli(const std::string& args, int& exit_code, std::string* err = 
   return slurp(out_path);
 }
 
-TEST(RwstressCli, OutputIsThreadCountInvariant) {
-  const std::string fixture =
-      "--lib " RW_REPO_DIR "/examples/fixtures/mini.lib " RW_REPO_DIR
-      "/examples/fixtures/clean.v";
-  int code1 = -1;
-  int codeN = -1;
-  const std::string one = run_cli("--threads 1 " + fixture, code1);
-  const std::string many = run_cli("--threads 8 " + fixture, codeN);
-  EXPECT_EQ(code1, 0) << one;
-  EXPECT_EQ(codeN, 0) << many;
-  EXPECT_EQ(one, many);
-  EXPECT_NE(one.find("lambda_n"), std::string::npos);
-}
-
 TEST(RwstressCli, DeclaredConstantsSurfaceAsSp002Warnings) {
   int code = -1;
   const std::string out = run_cli("--input a=0:0 --format json --lib " RW_REPO_DIR
@@ -615,8 +601,9 @@ TEST(RwstressCli, UsageErrorsExitSixtyFour) {
                               "/examples/fixtures/clean.v";
   // Every numeric flag reads its whole value: trailing junk or a comma
   // decimal is a usage error before any work, not a silently used prefix.
+  // The analysis and its lint are serial: --threads is an unknown flag.
   for (const char* flag : {"--clock 0.5x", "--clock 0,5", "--iterations 3x", "--iterations 3,5",
-                          "--threads 4x", "--threads abc", "--threads 0", "--threads=4x"}) {
+                          "--threads 4"}) {
     const std::string out = run_cli(std::string(flag) + " " + fixture, code);
     EXPECT_EQ(code, 64) << flag << ": " << out;
     EXPECT_EQ(out.find("module "), std::string::npos) << flag << ": " << out;

@@ -291,7 +291,9 @@ TEST(Json, MalformedDocumentsFailWithAPositionedError) {
   for (const char* doc : {"", "[]", "{", "{\"a\"}", "{\"a\":}", "{\"a\":1,}", "{\"a\":1 \"b\":2}",
                           "{\"a\":\"\\q\"}", "{\"a\":\"\\u12\"}", "{\"a\":\"\\u00g0\"}",
                           "{\"a\":[1,]}", "{\"a\":tru}", "{\"a\":\"open}", "{1:2}",
-                          "{\"id\":\"x\",\"op\":\"ping\"}{\"id\":\"y\"} junk"}) {
+                          "{\"id\":\"x\",\"op\":\"ping\"}{\"id\":\"y\"} junk",
+                          // Numbers: no '+', no hex, nothing out of range.
+                          "{\"a\":+1}", "{\"a\":0x10}", "{\"a\":1e999}"}) {
     EXPECT_TRUE(reject(doc)) << doc;
   }
 }

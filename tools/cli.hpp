@@ -23,7 +23,6 @@
 #include "lint/diagnostic.hpp"
 #include "stress/analyzer.hpp"
 #include "util/number.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rw::cli {
 

@@ -17,8 +17,6 @@
 ///   rwactivity --lib fresh.lib design.v
 ///   rwactivity --lib fresh.lib --input start=0.4:0.6 --density start=0.2:0.4
 ///              --threshold 0.9 --format json design.v   (one command line)
-///
-/// Output is deterministic and bitwise identical for any --threads value.
 
 #include <iostream>
 #include <string>
@@ -32,7 +30,6 @@
 #include "netlist/verilog.hpp"
 #include "stress/activity_bounds.hpp"
 #include "util/strings.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -47,7 +44,6 @@ void print_usage(std::ostream& os) {
         "  --threshold X      AC003 hotspot threshold, toggles/cycle (default 1)\n"
         "  --iterations N     cap on sequential fixed-point rounds (default 64)\n"
         "  --format FMT       output format: text (default) or json\n"
-        "  --threads N        worker threads for parallel rule execution\n"
         "  -h, --help         this message\n"
         "exit codes: 0 clean/info, 1 warnings, 2 errors, 64 usage error\n";
 }
@@ -195,7 +191,6 @@ void print_text(const rw::netlist::Module& module, const rw::stress::ActivityRep
 int main(int argc, char** argv) {
   rw::flow::install_signal_handlers();
   rw::flow::install_deadline_from_env();
-  rw::util::consume_thread_flag(argc, argv);
   Args args = parse_args(argc, argv);
   if (args.help) {
     print_usage(std::cout);

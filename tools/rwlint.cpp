@@ -30,7 +30,6 @@
 #include "util/atomic_file.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/verilog.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -47,7 +46,6 @@ void print_usage(std::ostream& os) {
         "  --baseline FILE  suppress findings recorded in FILE; when FILE does not\n"
         "                   exist, record the current findings into it and exit 0\n"
         "  --update-baseline  with --baseline: rewrite FILE from this run's findings\n"
-        "  --threads N      worker threads for parallel rule execution\n"
         "  --list-rules     print the rule catalog and exit\n"
         "  --explain ID     print one rule's description and fix hint, then exit\n"
         "  -h, --help       this message\n"
@@ -143,7 +141,6 @@ Args parse_args(int argc, char** argv) {
 int main(int argc, char** argv) {
   rw::flow::install_signal_handlers();
   rw::flow::install_deadline_from_env();
-  rw::util::consume_thread_flag(argc, argv);
   Args args = parse_args(argc, argv);
   if (args.help) {
     print_usage(std::cout);

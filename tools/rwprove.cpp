@@ -19,8 +19,6 @@
 ///   rwprove --fresh fresh.lib --lib corners.lib design.v
 ///   rwprove --fresh fresh.lib --lib corners.lib --guardband 25 design.v
 ///   rwprove --fresh fresh.lib --lib corners.lib --input start=0.0:0.2 design.v
-///
-/// Output is deterministic and bitwise identical for any --threads value.
 
 #include <iostream>
 #include <string>
@@ -38,7 +36,6 @@
 #include "sta/interval_sta.hpp"
 #include "stress/analyzer.hpp"
 #include "util/strings.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -54,7 +51,6 @@ void print_usage(std::ostream& os) {
         "  --guardband PS    candidate guardband to certify against the proven bound\n"
         "  --budget PS       slack budget: warn when the proven interval is wider\n"
         "  --format FMT      output format: text (default) or json\n"
-        "  --threads N       worker threads for parallel rule execution\n"
         "  -h, --help        this message\n"
         "exit codes: 0 certified/clean, 1 warnings, 2 errors/refuted, 64 usage error\n";
 }
@@ -202,7 +198,6 @@ void print_text(const rw::netlist::Module& module, const rw::sta::IntervalSta& i
 int main(int argc, char** argv) {
   rw::flow::install_signal_handlers();
   rw::flow::install_deadline_from_env();
-  rw::util::consume_thread_flag(argc, argv);
   Args args = parse_args(argc, argv);
   if (args.help) {
     print_usage(std::cout);

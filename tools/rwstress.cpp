@@ -14,8 +14,6 @@
 /// Typical runs:
 ///   rwstress --lib fresh.lib design.v
 ///   rwstress --lib merged.lib --input start=0.0:0.2 --format json annotated.v
-///
-/// Output is deterministic and bitwise identical for any --threads value.
 
 #include <iostream>
 #include <string>
@@ -29,7 +27,6 @@
 #include "netlist/verilog.hpp"
 #include "stress/analyzer.hpp"
 #include "util/strings.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -41,7 +38,6 @@ void print_usage(std::ostream& os) {
         "  --clock P         duty cycle assumed on clock pins (default 0.5)\n"
         "  --iterations N    cap on sequential fixed-point rounds (default 64)\n"
         "  --format FMT      output format: text (default) or json\n"
-        "  --threads N       worker threads for parallel rule execution\n"
         "  -h, --help        this message\n"
         "exit codes: 0 clean/info, 1 warnings, 2 errors, 64 usage error\n";
 }
@@ -151,7 +147,6 @@ void print_text(const rw::netlist::Module& module, const rw::stress::StressRepor
 int main(int argc, char** argv) {
   rw::flow::install_signal_handlers();
   rw::flow::install_deadline_from_env();
-  rw::util::consume_thread_flag(argc, argv);
   Args args = parse_args(argc, argv);
   if (args.help) {
     print_usage(std::cout);
